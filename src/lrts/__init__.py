@@ -21,13 +21,9 @@ from .agents import (
 from .core import (
     DomainViolation,
     DownwardWriteError,
-    EmptyNeighborhoodError,
     HeuristicTable,
-    Neighborhood,
     SearchProblem,
-    best_frontier,
     iter_layers,
-    neighborhood,
 )
 from .harness import (
     AlgoSpec,
@@ -41,13 +37,7 @@ from .harness import (
     run_until_convergence,
     stability,
 )
-from .oracle import (
-    OptimalCostCache,
-    bfs_optimal,
-    full_bfs_distances,
-    ida_star_optimal,
-    optimal_cost,
-)
+from .oracle import full_bfs_distances, ida_star_optimal
 from .tiles import (
     KorfFormatError,
     PuzzleInstance,
@@ -64,14 +54,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AgentConfig", "AgentState", "Algorithm", "AlgoSpec", "ConvergenceRecord",
-    "DomainViolation", "DownwardWriteError", "EmptyNeighborhoodError",
-    "ExperimentConfig", "HeuristicTable", "KorfFormatError", "Neighborhood",
-    "OptimalCostCache", "PuzzleInstance", "SearchProblem", "StabilityIndices",
-    "TileBoard", "TilePuzzle", "TrialRecord", "aggregate", "best_frontier",
-    "bfs_optimal", "derive_seed", "full_bfs_distances", "gamma_trap_step",
-    "goal_board", "ida_star_optimal", "ilrta_step", "is_solvable",
-    "iter_layers", "load_korf", "lrta_step", "make_agent", "manhattan",
-    "neighborhood", "optimal_cost", "random_solvable", "rta_step",
-    "run_experiment", "run_trial", "run_until_convergence", "stability",
-    "step",
+    "DomainViolation", "DownwardWriteError", "ExperimentConfig",
+    "HeuristicTable", "KorfFormatError", "PuzzleInstance", "SearchProblem",
+    "StabilityIndices", "TileBoard", "TilePuzzle", "TrialRecord", "aggregate",
+    "derive_seed", "full_bfs_distances", "gamma_trap_step", "goal_board",
+    "ida_star_optimal", "ilrta_step", "is_solvable", "iter_layers",
+    "load_korf", "lrta_step", "make_agent", "manhattan", "random_solvable",
+    "rta_step", "run_experiment", "run_trial", "run_until_convergence",
+    "stability", "step",
 ]

@@ -74,13 +74,12 @@ class AgentConfig:
 @dataclass
 class AgentState:
     """Mutable per-run state: position, learned table, backtracking trail,
-    tie-breaking generator, and per-trial travel bookkeeping."""
+    tie-breaking generator, and the actions taken in the current trial."""
 
     current: StateId
     table: HeuristicTable
     rng: random.Random
     trail: List[Tuple[StateId, Tuple[int, ...]]] = field(default_factory=list)
-    trial_travel_cost: float = 0
     trial_actions: List[int] = field(default_factory=list)
 
 

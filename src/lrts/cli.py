@@ -96,31 +96,18 @@ _CONVENTIONS = {
 }
 
 
-def _parse_floats(text: str, what: str) -> Tuple[float, ...]:
+def _parse_list(text: str, what: str, convert: type = float) -> Tuple:
+    """Comma-separated numbers; convert is float or int."""
+    noun = "a number" if convert is float else "an integer"
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         try:
-            out.append(float(tok))
+            out.append(convert(tok))
         except ValueError:
-            raise ConfigError(f"{what}: {tok!r} is not a number") from None
-    if not out:
-        raise ConfigError(f"{what}: no values given")
-    return tuple(out)
-
-
-def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ConfigError(f"{what}: {tok!r} is not an integer") from None
+            raise ConfigError(f"{what}: {tok!r} is not {noun}") from None
     if not out:
         raise ConfigError(f"{what}: no values given")
     return tuple(out)
@@ -193,25 +180,12 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
         merged.update(file_values)
 
-    def flag(name: str, value) -> None:
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key.replace("-", "_"))
+        if key == "lookahead" and value:
+            value = ",".join(value)
         if value is not None:
-            merged[name] = value
-
-    flag("experiment", args.experiment)
-    flag("domain", args.domain)
-    flag("algorithms", args.algorithms)
-    flag("gamma", args.gamma)
-    flag("epsilon", args.epsilon)
-    flag("lookahead", ",".join(args.lookahead) if args.lookahead else None)
-    flag("folds", args.folds)
-    flag("instances", args.instances)
-    flag("seed", args.seed)
-    flag("move-limit", args.move_limit)
-    flag("memory-limit", args.memory_limit)
-    flag("korf-file", args.korf_file)
-    flag("out-dir", args.out_dir)
-    flag("jobs", args.jobs)
-    flag("ida-budget", args.ida_budget)
+            merged[key] = value
 
     experiment = str(merged.get("experiment") or "")
     if not experiment:
@@ -238,11 +212,11 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
             )
         algorithms.append(valid[name])
 
-    gammas = _parse_floats(str(merged.get("gamma") or _DEFAULT_GAMMAS), "gamma")
+    gammas = _parse_list(str(merged.get("gamma") or _DEFAULT_GAMMAS), "gamma")
     for g in gammas:
         if not 0 < g <= 1:
             raise ConfigError(f"gamma must be in (0, 1], got {g:g}")
-    epsilons = _parse_floats(str(merged.get("epsilon") or _DEFAULT_EPSILONS), "epsilon")
+    epsilons = _parse_list(str(merged.get("epsilon") or _DEFAULT_EPSILONS), "epsilon")
     for e in epsilons:
         if e < 0:
             raise ConfigError(f"epsilon must be >= 0, got {e:g}")
@@ -251,7 +225,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     if lookahead_text is None:
         lookaheads = DEFAULT_LOOKAHEADS
     else:
-        lookaheads = _parse_ints(str(lookahead_text), "lookahead")
+        lookaheads = _parse_list(str(lookahead_text), "lookahead", int)
         for d in lookaheads:
             if d < 1:
                 raise ConfigError(f"lookahead must be >= 1, got {d}")

@@ -7,9 +7,7 @@ with hash-based duplicate pruning.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, List, Optional, Tuple
+from typing import Callable, Hashable, Iterator, List, Tuple
 
 StateId = Hashable
 ActionId = int
@@ -29,11 +27,6 @@ class DownwardWriteError(RuntimeError):
     The monotone algorithms never lower an estimate, so raising this means
     the calling code is buggy, not the table.
     """
-
-
-class EmptyNeighborhoodError(ValueError):
-    """best_frontier was handed a neighborhood with no members; the caller
-    must treat that depth as trapped."""
 
 
 class SearchProblem:
@@ -122,22 +115,6 @@ class HeuristicTable:
         self.overlay[s] = v
 
 
-@dataclass
-class Neighborhood:
-    """The exactly-depth-d slice of the space around origin.
-
-    members holds (state, reach_cost, actions): reach_cost is the minimal
-    cumulative action cost among the explored length-depth paths, and
-    actions is one cheapest such sequence. States are deduplicated; a
-    state appears in the single layer matching its minimal action distance
-    from the origin.
-    """
-
-    origin: StateId
-    depth: int
-    members: List[Member]
-
-
 def iter_layers(
     problem: SearchProblem,
     origin: StateId,
@@ -168,46 +145,6 @@ def iter_layers(
         visited.update(found)
         frontier = [(s, rc, acts) for s, (rc, acts) in found.items()]
         yield frontier
-
-
-def neighborhood(problem: SearchProblem, s: StateId, d: int) -> Neighborhood:
-    """Exactly the states whose minimal action distance from s is d.
-
-    An empty member list is a legal result: it means the frontier was
-    exhausted before reaching depth d.
-    """
-    if d < 1:
-        raise ValueError(f"depth must be >= 1, got {d}")
-    members: List[Member] = []
-    for depth, layer in enumerate(iter_layers(problem, s, d), start=1):
-        if depth == d:
-            members = layer
-    return Neighborhood(origin=s, depth=d, members=members)
-
-
-def best_frontier(
-    nbhd: Neighborhood,
-    table: HeuristicTable,
-    gamma: float,
-    rng: Optional[random.Random] = None,
-) -> Tuple[StateId, float, Tuple[ActionId, ...]]:
-    """The member minimizing gamma * reach_cost + lookup(member).
-
-    Ties are broken by the supplied seeded generator (first minimum when
-    rng is None). Returns (state, value, actions).
-    """
-    if not nbhd.members:
-        raise EmptyNeighborhoodError(
-            f"no members at depth {nbhd.depth} around {nbhd.origin!r}"
-        )
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    best, ties = _score_layer(nbhd.members, table, gamma)
-    if len(ties) > 1 and rng is not None:
-        state, acts = rng.choice(ties)
-    else:
-        state, acts = ties[0]
-    return state, best, acts
 
 
 def _score_layer(

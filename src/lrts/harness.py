@@ -11,10 +11,13 @@ move, sequentially or across worker processes.
 from __future__ import annotations
 
 import csv
+import os
 import random
 import statistics
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .agents import AgentConfig, AgentState, Algorithm, derive_seed, make_agent, step
@@ -159,14 +162,15 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
     """
     table = agent.table
     table.update_count_this_trial = 0
-    agent.trial_actions = []
-    agent.trial_travel_cost = 0
+    actions = agent.trial_actions = []
+    is_goal = problem.is_goal
+    apply = problem.apply
     moves = 0
     cost: float = 0
     hit = False
     idle = 0
     current = agent.current
-    while not problem.is_goal(current):
+    while not is_goal(current):
         if moves >= move_limit:
             hit = True
             break
@@ -180,14 +184,13 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
             continue
         idle = 0
         for a in acts:
-            current, c = problem.apply(current, a)
+            current, c = apply(current, a)
             agent.current = current
             cost += c
             moves += 1
-            agent.trial_actions.append(a)
-            if problem.is_goal(current) or moves >= move_limit:
+            actions.append(a)
+            if is_goal(current) or moves >= move_limit:
                 break
-    agent.trial_travel_cost = cost
     record = TrialRecord(
         trial_index=trial_index,
         solution_cost=cost,
@@ -265,41 +268,25 @@ def stability(costs: Sequence[float], n_converged: int, h_star: float) -> Stabil
 @dataclass(frozen=True)
 class TaskSpec:
     """One (algorithm, lookahead, fold, instance) run, fully self-contained
-    so it can ship to a worker process."""
+    so it can ship to a worker process. spec fills the param_* columns;
+    cfg is the agent configuration with this run's seed."""
 
     experiment: str
-    algorithm: str
-    d_max: int
-    gamma: Optional[float]
-    epsilon: Optional[float]
-    seed: int
+    spec: AlgoSpec
+    cfg: AgentConfig
     fold: int
     instance_id: int
-    width: int
-    height: int
-    start_tiles: Tuple[int, ...]
+    start: TileBoard
     move_limit: int
     memory_limit: int
-    first_trial: bool
-
-
-def _agent_config(task: TaskSpec) -> AgentConfig:
-    return AgentConfig(
-        algorithm=Algorithm(task.algorithm),
-        d_max=task.d_max,
-        gamma=task.gamma if task.gamma is not None else 1.0,
-        epsilon=task.epsilon if task.epsilon is not None else 0.0,
-        seed=task.seed,
-    )
 
 
 def _run_task(task: TaskSpec) -> Dict:
     """Execute one run; returns a plain picklable dict."""
-    board = TileBoard(task.width, task.height, tuple(task.start_tiles))
-    problem = TilePuzzle(board)
-    cfg = _agent_config(task)
+    problem = TilePuzzle(task.start)
+    cfg = task.cfg
     agent = make_agent(problem, cfg, base=problem.manhattan)
-    if task.first_trial:
+    if task.experiment == "first-trial":
         rec = run_trial(agent, problem, cfg, move_limit=task.move_limit)
         return {
             "trial_costs": [rec.solution_cost],
@@ -358,52 +345,42 @@ def generate_instances(config: ExperimentConfig) -> Dict[int, List[PuzzleInstanc
 def build_tasks(config: ExperimentConfig) -> List[TaskSpec]:
     """Deterministic nested expansion: spec, lookahead, fold, instance."""
     per_fold = generate_instances(config)
-    first = config.experiment == "first-trial"
     tasks: List[TaskSpec] = []
     for spec in config.specs:
-        base_cfg = AgentConfig(
-            algorithm=spec.algorithm,
-            gamma=spec.gamma if spec.gamma is not None else 1.0,
-            epsilon=spec.epsilon if spec.epsilon is not None else 0.0,
-        )
         for d in config.lookaheads:
-            tag = AgentConfig(
-                algorithm=base_cfg.algorithm, d_max=d,
-                gamma=base_cfg.gamma, epsilon=base_cfg.epsilon,
-            ).tag()
+            cfg = AgentConfig(
+                algorithm=spec.algorithm, d_max=d,
+                gamma=spec.gamma if spec.gamma is not None else 1.0,
+                epsilon=spec.epsilon if spec.epsilon is not None else 0.0,
+            )
+            tag = cfg.tag()
             for fold in range(config.folds):
                 for inst in per_fold[fold]:
+                    seed = derive_seed(config.master_seed, fold, inst.instance_id, tag)
                     tasks.append(TaskSpec(
                         experiment=config.experiment,
-                        algorithm=spec.algorithm.value,
-                        d_max=d,
-                        gamma=spec.gamma,
-                        epsilon=spec.epsilon,
-                        seed=derive_seed(config.master_seed, fold,
-                                         inst.instance_id, tag),
+                        spec=spec,
+                        cfg=replace(cfg, seed=seed),
                         fold=fold,
                         instance_id=inst.instance_id,
-                        width=inst.start.width,
-                        height=inst.start.height,
-                        start_tiles=inst.start.tiles,
+                        start=inst.start,
                         move_limit=config.move_limit,
                         memory_limit=config.memory_limit,
-                        first_trial=first,
                     ))
     return tasks
 
 
 def _optimal_for(task: TaskSpec, config: ExperimentConfig,
                  memo: Dict[Tuple[int, ...], Optional[int]]) -> Optional[int]:
-    tiles = tuple(task.start_tiles)
-    if task.width * task.height <= 9:
-        return full_bfs_distances(task.width, task.height)[tiles]
+    board = task.start
+    tiles = board.tiles
+    if board.width * board.height <= 9:
+        return full_bfs_distances(board.width, board.height)[tiles]
     if tiles in memo:
         return memo[tiles]
     cost: Optional[int] = None
     if config.ida_budget > 0:
-        problem = TilePuzzle(TileBoard(task.width, task.height, tiles))
-        cost = ida_star_optimal(problem, tiles, budget=config.ida_budget)
+        cost = ida_star_optimal(TilePuzzle(board), tiles, budget=config.ida_budget)
     memo[tiles] = cost
     return cost
 
@@ -417,13 +394,13 @@ def _assemble_row(task: TaskSpec, outcome: Dict, optimal: Optional[int]) -> Dict
         indices = stability(outcome["trial_costs"], outcome["converged_at"], optimal)
     return {
         "experiment": task.experiment,
-        "algorithm": task.algorithm,
-        "param_gamma": task.gamma,
-        "param_epsilon": task.epsilon,
-        "lookahead": task.d_max,
+        "algorithm": task.spec.algorithm.value,
+        "param_gamma": task.spec.gamma,
+        "param_epsilon": task.spec.epsilon,
+        "lookahead": task.cfg.d_max,
         "fold": task.fold,
         "instance_id": task.instance_id,
-        "seed": task.seed,
+        "seed": task.cfg.seed,
         "converged_at": outcome["converged_at"],
         "convergence_cost": outcome["convergence_cost"],
         "final_cost": outcome["final_cost"],
@@ -439,19 +416,33 @@ def _assemble_row(task: TaskSpec, outcome: Dict, optimal: Optional[int]) -> Dict
     }
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: end the worker once the process that started it is
+    gone, so an interrupted run leaves no workers behind."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_experiment(config: ExperimentConfig,
                    progress: Optional[Callable[[int, int], None]] = None
                    ) -> Tuple[List[Dict], List[Dict]]:
     """Run every task and return (per-instance rows, summary rows).
 
     Worker processes only execute agent runs; ground-truth costs are
-    resolved in the parent so the oracle cache is shared. Results keep
+    resolved in the parent, once per distinct board. Results keep
     task order, so sequential and parallel runs emit identical rows.
     """
     tasks = build_tasks(config)
     total = len(tasks)
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=config.jobs,
+                                 initializer=_exit_with_parent) as pool:
             chunk = max(1, total // (config.jobs * 8))
             outcomes = []
             for i, outcome in enumerate(pool.map(_run_task, tasks, chunksize=chunk)):

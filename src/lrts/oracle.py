@@ -8,7 +8,7 @@ iterative-deepening A* with Manhattan distance (any size, budgeted).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .tiles import State, TileBoard, TilePuzzle, goal_board, is_solvable
 
@@ -56,15 +56,6 @@ def full_bfs_distances(width: int, height: int) -> Dict[State, int]:
     return dist
 
 
-def bfs_optimal(problem: TilePuzzle, s: State) -> int:
-    """Exact optimal cost via the full-space table."""
-    dist = full_bfs_distances(problem.width, problem.height)
-    try:
-        return dist[s]
-    except KeyError:
-        raise ValueError(f"state {s!r} cannot reach the goal") from None
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -97,7 +88,7 @@ def ida_star_optimal(problem: TilePuzzle, s: State, budget: int = 10**8) -> Opti
             if generated > budget:
                 raise _BudgetExceeded
             t = tiles[target]
-            nh = h - md[t][target] + md[t][blank]
+            nh = h - md[target][t] + md[blank][t]
             nf = g + 1 + nh
             if nf > bound:
                 if minimum_over == -2 or nf < minimum_over:
@@ -128,87 +119,3 @@ def ida_star_optimal(problem: TilePuzzle, s: State, budget: int = 10**8) -> Opti
             bound = r
     except _BudgetExceeded:
         return None
-
-
-def encode_tiles(tiles: Iterable[int]) -> str:
-    return ",".join(str(t) for t in tiles)
-
-
-class OptimalCostCache:
-    """A persistent map from board encodings to known optimal costs.
-
-    Text format, one entry per line: "<encoding> <cost> <provenance>",
-    where provenance names the solver that produced the value (e.g. "bfs",
-    "ida"). Recording a conflicting cost for a known board raises; the two
-    solvers must agree exactly.
-    """
-
-    def __init__(self):
-        self._entries: Dict[str, Tuple[int, str]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, tiles: Iterable[int]) -> Optional[int]:
-        entry = self._entries.get(encode_tiles(tiles))
-        return entry[0] if entry else None
-
-    def record(self, tiles: Iterable[int], cost: int, provenance: str) -> None:
-        if cost < 0:
-            raise ValueError(f"cost must be nonnegative, got {cost}")
-        if not provenance or any(c.isspace() for c in provenance):
-            raise ValueError(f"provenance must be a single token, got {provenance!r}")
-        key = encode_tiles(tiles)
-        prev = self._entries.get(key)
-        if prev is not None and prev[0] != cost:
-            raise ValueError(
-                f"conflicting costs for {key}: {prev[0]} ({prev[1]}) vs {cost} ({provenance})"
-            )
-        if prev is None:
-            self._entries[key] = (cost, provenance)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key in sorted(self._entries):
-                cost, prov = self._entries[key]
-                fh.write(f"{key} {cost} {prov}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "OptimalCostCache":
-        cache = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'encoding cost provenance', got {line!r}"
-                    )
-                key, cost_text, prov = parts
-                try:
-                    cost = int(cost_text)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: cost is not an integer") from None
-                tiles = [int(t) for t in key.split(",")]
-                cache.record(tiles, cost, prov)
-        return cache
-
-
-def optimal_cost(problem: TilePuzzle, s: State, ida_budget: int = 10**8,
-                 cache: Optional[OptimalCostCache] = None) -> Optional[int]:
-    """Best-effort exact cost: full BFS where feasible, else cache, else
-    budgeted IDA*. None when nothing within budget can certify a value."""
-    if problem.width * problem.height <= _MAX_BFS_CELLS:
-        return bfs_optimal(problem, s)
-    if cache is not None:
-        known = cache.get(s)
-        if known is not None:
-            return known
-    if ida_budget <= 0:
-        return None
-    cost = ida_star_optimal(problem, s, budget=ida_budget)
-    if cost is not None and cache is not None:
-        cache.record(s, cost, "ida")
-    return cost

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Dict, List, Optional, Tuple
 
 from .core import SearchProblem
@@ -46,18 +47,16 @@ def _build_moves(width: int, height: int) -> Tuple[Tuple[Tuple[int, int], ...], 
 
 
 def _build_md(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
-    """md[tile][cell] = Manhattan distance from cell to tile's goal cell.
+    """md[cell][tile] = Manhattan distance from cell to tile's goal cell.
 
-    Row 0 (the blank) is all zeros: the blank does not count.
+    Column 0 (the blank) is all zeros: the blank does not count.
     """
-    table = [tuple([0] * (width * height))]
-    for tile in range(1, width * height):
-        gx, gy = tile % width, tile // width
-        row = []
-        for cell in range(width * height):
-            x, y = cell % width, cell // width
-            row.append(abs(x - gx) + abs(y - gy))
-        table.append(tuple(row))
+    table = []
+    for cell in range(width * height):
+        x, y = cell % width, cell // width
+        table.append((0,) + tuple(
+            abs(x - tile % width) + abs(y - tile // width)
+            for tile in range(1, width * height)))
     return tuple(table)
 
 
@@ -124,7 +123,7 @@ def manhattan(board: TileBoard) -> int:
     tile's distance by exactly 1.
     """
     md = _md_for(board.width, board.height)
-    return sum(md[t][cell] for cell, t in enumerate(board.tiles) if t)
+    return sum(map(getitem, md, board.tiles))
 
 
 def inversions(board: TileBoard) -> int:
@@ -169,11 +168,10 @@ def random_solvable(width: int, height: int, rng: random.Random) -> TileBoard:
 
 @dataclass(frozen=True)
 class PuzzleInstance:
-    """A benchmark instance: a start board plus optional published cost."""
+    """A benchmark instance: a numbered start board."""
 
     instance_id: int
     start: TileBoard
-    known_optimal_cost: Optional[int] = None
 
 
 def load_korf(path: str, expected_count: Optional[int] = 100) -> List[PuzzleInstance]:
@@ -261,8 +259,7 @@ class TilePuzzle(SearchProblem):
 
     def manhattan(self, s: State) -> int:
         """Tuple-level Manhattan; the base heuristic the agents plug in."""
-        md = self._md
-        return sum(md[t][cell] for cell, t in enumerate(s) if t)
+        return sum(map(getitem, self._md, s))
 
     def board(self, s: State) -> TileBoard:
         return TileBoard(self.width, self.height, s)

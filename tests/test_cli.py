@@ -1,10 +1,21 @@
 import csv
+import importlib.util
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import lrts
+import lrts.agents
+import lrts.core
+import lrts.harness
 from lrts.cli import OUT_DIR_ENV, ConfigError, main, parse_config, read_config_file
 from lrts.harness import DEFAULT_LOOKAHEADS, RUN_COLUMNS, SUMMARY_COLUMNS
 from lrts.plots import bar_chart_svg, emit_plots
@@ -232,3 +243,75 @@ def test_emit_plots_with_nothing_to_draw(tmp_path):
              "mean_final_ratio_pct": None}]
     assert emit_plots(rows, str(tmp_path), "convergence") == []
     assert list(tmp_path.iterdir()) == []
+
+
+def _kill_group(pgid):
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL])
+def test_workers_exit_with_the_cli_process(tmp_path, sig):
+    src = os.path.dirname(os.path.dirname(lrts.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "lrts.cli", "--experiment", "convergence",
+            "--algorithms", "lrta", "--lookahead", "1", "--folds", "2",
+            "--instances", "20", "--jobs", "2", "--out-dir", str(tmp_path)]
+    proc = subprocess.Popen(argv, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    # a CLI that never reports progress is killed, which ends the read below
+    watchdog = threading.Timer(60, _kill_group, (proc.pid,))
+    watchdog.start()
+    try:
+        for line in proc.stderr:
+            if line.startswith("  run "):
+                break
+        else:
+            pytest.fail("the CLI printed no progress line")
+        watchdog.cancel()
+        proc.send_signal(sig)
+        proc.wait(timeout=5)  # reap the parent; only its workers may be left
+        deadline = time.monotonic() + 5
+        while _group_alive(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _group_alive(proc.pid), "worker processes outlived the CLI"
+    finally:
+        watchdog.cancel()
+        _kill_group(proc.pid)
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_bench_tracer_wraps_a_cli_run(tmp_path):
+    """The benchmark's tracer patches lrts attributes by name; a rename must
+    fail here rather than only in a traced benchmark run."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        code = tracer.main(main)([
+            "--experiment", "convergence", "--algorithms", "lrta",
+            "--lookahead", "2", "--folds", "1", "--instances", "1",
+            "--out-dir", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert all(n > 0 for n in tracer.calls.values())
+    assert tracer.moves > 0 and tracer.expansions > 0
+    assert len(tracer.results) == 1 and len(tracer.finals) == 1
+    assert lrts.agents.iter_layers is lrts.core.iter_layers
+    assert not hasattr(lrts.harness.ida_star_optimal, "__wrapped__")

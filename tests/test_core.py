@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from lrts.core import (
-    DownwardWriteError,
-    EmptyNeighborhoodError,
-    HeuristicTable,
-    Neighborhood,
-    best_frontier,
-    iter_layers,
-    neighborhood,
-)
+from lrts.agents import _pick
+from lrts.core import DownwardWriteError, HeuristicTable, _score_layer, iter_layers
 from lrts.tiles import TilePuzzle, random_solvable
 
 from domains import GraphProblem, LineProblem
@@ -63,18 +56,11 @@ def test_layer_reach_is_min_cost_over_equal_length_paths():
 
 def test_neighborhood_exact_depth_and_empty_result():
     problem = TilePuzzle(random_solvable(3, 3, random.Random(9)))
-    nbhd = neighborhood(problem, problem.initial_state, 3)
-    assert nbhd.depth == 3 and nbhd.origin == problem.initial_state
+    layers = list(iter_layers(problem, problem.initial_state, 3))
     expected = bfs_layers(problem, problem.initial_state, 3)[3]
-    assert {m[0] for m in nbhd.members} == expected
-
-    beyond = neighborhood(LineProblem(3), 0, 7)
-    assert beyond.members == []
-
-
-def test_neighborhood_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        neighborhood(LineProblem(3), 0, 0)
+    assert len(layers) == 3 and {m[0] for m in layers[2]} == expected
+    # a 3-state line has nothing at depth 7
+    assert len(list(iter_layers(LineProblem(3), 0, 7))) < 7
 
 
 # --- heuristic table ---------------------------------------------------------
@@ -128,38 +114,24 @@ def test_table_rejects_negative_values():
         table.write(0, -1)
 
 
-# --- best_frontier -----------------------------------------------------------
-
-def _nbhd(members):
-    return Neighborhood(origin="s", depth=1, members=members)
-
+# --- layer scoring -----------------------------------------------------------
 
 def test_best_frontier_minimizes_discounted_score():
     table = HeuristicTable({"a": 10, "b": 2}.__getitem__)
-    nbhd = _nbhd([("a", 1, (0,)), ("b", 3, (1, 1, 1))])
-    # gamma 0.5: a scores 10.5, b scores 3.5
-    state, value, acts = best_frontier(nbhd, table, 0.5)
-    assert (state, value, acts) == ("b", 3.5, (1, 1, 1))
+    # gamma 0.5 over non-unit reach: a scores 10.5, b scores 3.5
+    best, ties = _score_layer([("a", 1, (0,)), ("b", 3, (1, 1, 1))], table, 0.5)
+    assert best == 3.5
+    assert ties == [("b", (1, 1, 1))]
 
 
 def test_best_frontier_breaks_ties_with_seeded_rng():
-    table = HeuristicTable({"a": 1, "b": 1}.__getitem__)
-    nbhd = _nbhd([("a", 1, (0,)), ("b", 1, (1,))])
-    seen = {state for seed in range(40)
-            for state, _, _ in [best_frontier(nbhd, table, 1.0, random.Random(seed))]}
-    assert seen == {"a", "b"}
-    # without an rng the first minimum wins
-    assert best_frontier(nbhd, table, 1.0)[0] == "a"
-
-
-def test_best_frontier_rejects_empty_and_bad_gamma():
-    table = HeuristicTable(lambda s: 0)
-    with pytest.raises(EmptyNeighborhoodError):
-        best_frontier(_nbhd([]), table, 1.0)
-    with pytest.raises(ValueError):
-        best_frontier(_nbhd([("a", 1, (0,))]), table, 0.0)
-    with pytest.raises(ValueError):
-        best_frontier(_nbhd([("a", 1, (0,))]), table, 1.2)
+    table = HeuristicTable({"a": 1, "b": 3, "c": 1}.__getitem__)
+    members = [("c", 1, (2,)), ("b", 1, (1,)), ("a", 1, (0,))]
+    best, ties = _score_layer(members, table, 1.0)
+    assert best == 2
+    assert ties == [("c", (2,)), ("a", (0,))]  # every tie, in member order
+    seen = {_pick(ties, random.Random(seed))[0] for seed in range(40)}
+    assert seen == {"a", "c"}
 
 
 # --- problem interface -------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,9 +18,11 @@ from lrts.harness import (
     stability,
     write_csv,
 )
-from lrts.tiles import TilePuzzle, random_solvable
+from lrts.oracle import ida_star_optimal
+from lrts.tiles import TilePuzzle, goal_board, random_solvable
 
 from domains import LineProblem
+from oracles import bfs_goal_distance
 
 
 def _line_agent(problem, algorithm=Algorithm.LRTA, base=None, **kw):
@@ -168,10 +171,17 @@ def test_build_tasks_order_and_seed_spread():
     tasks = build_tasks(config)
     assert len(tasks) == 2 * 2 * 2 * 3
     assert tasks == build_tasks(config)
-    assert len({t.seed for t in tasks}) == len(tasks)
+    assert len({t.cfg.seed for t in tasks}) == len(tasks)
     head = tasks[0]
-    assert (head.algorithm, head.d_max, head.fold, head.instance_id) == ("gtrap-bt", 1, 0, 0)
-    assert tasks[-1].algorithm == "lrta" and tasks[-1].gamma is None
+    assert head.spec == AlgoSpec(Algorithm.GTRAP_BT, gamma=0.5)
+    assert (head.cfg.algorithm, head.cfg.d_max, head.cfg.gamma) == (Algorithm.GTRAP_BT, 1, 0.5)
+    assert (head.fold, head.instance_id) == (0, 0)
+    tail = tasks[-1]
+    assert tail.spec == AlgoSpec(Algorithm.LRTA) and tail.spec.gamma is None
+    assert (tail.cfg.gamma, tail.cfg.epsilon, tail.cfg.d_max) == (1.0, 0.0, 2)
+    # one AgentConfig per (spec, lookahead): its runs differ only in the seed
+    same = [t.cfg for t in tasks if t.spec == head.spec and t.cfg.d_max == 1]
+    assert {replace(c, seed=0) for c in same} == {replace(head.cfg, seed=0)}
 
 
 def test_puzzle8_folds_draw_distinct_boards():
@@ -201,11 +211,11 @@ def test_puzzle15_folds_share_the_file_instances(tmp_path):
     assert per_fold[0] == per_fold[1]
     assert len(per_fold[0]) == 2
     tasks = build_tasks(config)
-    fold0 = [t.start_tiles for t in tasks if t.fold == 0]
-    fold1 = [t.start_tiles for t in tasks if t.fold == 1]
+    fold0 = [t.start for t in tasks if t.fold == 0]
+    fold1 = [t.start for t in tasks if t.fold == 1]
     assert fold0 == fold1
-    seeds0 = [t.seed for t in tasks if t.fold == 0]
-    seeds1 = [t.seed for t in tasks if t.fold == 1]
+    seeds0 = [t.cfg.seed for t in tasks if t.fold == 0]
+    seeds1 = [t.cfg.seed for t in tasks if t.fold == 1]
     assert set(seeds0).isdisjoint(seeds1)
 
 
@@ -285,6 +295,47 @@ def test_move_limited_run_reports_no_ratio():
     assert row["limit_hit"] == "MOVES"
     assert row["final_ratio_pct"] is None and row["converged_at"] is None
     assert row["optimal_cost"] is not None  # oracle still knows the truth
+
+
+def _write_walks(path, count, length, seed):
+    """Distinct boards a short random walk away from the 15-puzzle goal."""
+    rng = random.Random(seed)
+    problem = TilePuzzle(goal_board(4, 4))
+    boards = []
+    while len(boards) < count:
+        tiles = problem.goal
+        for _ in range(length):
+            _, tiles, _ = rng.choice(problem.successors(tiles))
+        if tiles != problem.goal and tiles not in boards:
+            boards.append(tiles)
+    path.write_text("".join(f"{i} " + " ".join(map(str, t)) + "\n"
+                            for i, t in enumerate(boards)))
+    return boards
+
+
+def test_puzzle15_ground_truth_is_solved_once_per_board(tmp_path, monkeypatch):
+    korf = tmp_path / "walks.txt"
+    boards = _write_walks(korf, 3, 10, seed=8)
+    solved = []
+
+    def counting_ida(problem, tiles, budget):
+        solved.append(tiles)
+        return ida_star_optimal(problem, tiles, budget=budget)
+
+    monkeypatch.setattr("lrts.harness.ida_star_optimal", counting_ida)
+    config = _p8_config(domain="puzzle15", korf_path=str(korf), instances=3, folds=2)
+    rows, _ = run_experiment(config)
+    assert len(rows) == 6
+    problem = TilePuzzle(goal_board(4, 4))
+    for row in rows:
+        tiles = boards[row["instance_id"]]
+        assert row["optimal_cost"] == bfs_goal_distance(problem, tiles)
+    assert sorted(solved) == sorted(boards)
+
+    solved.clear()
+    rows, _ = run_experiment(replace(config, ida_budget=0))
+    assert solved == []
+    assert all(r["optimal_cost"] is None and r["final_ratio_pct"] is None for r in rows)
 
 
 def test_write_csv_is_byte_stable(tmp_path):
