@@ -3,7 +3,10 @@
 Five agents share one interface: a policy call inspects the neighborhood of
 the current state, possibly rewrites the learned heuristic there, and
 returns the action sequence to execute (possibly empty). The harness
-applies the actions and calls again until the goal is reached.
+applies the actions and calls again until the goal is reached. Every
+policy expands through core.iter_layers and scores through core's
+scorers; at lookahead 1, gtrap, lrta and ilrta score the successors
+directly with the one depth-1 scorer, core._score_successors.
 
 The trap-driven pair (gtrap-bt, gtrap) deepens its lookahead adaptively:
 depth d is "trapped" when no state within d steps looks at least as good as
@@ -21,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
 from .core import (
@@ -29,6 +33,7 @@ from .core import (
     SearchProblem,
     StateId,
     _score_layer,
+    _score_successors,
     iter_layers,
 )
 
@@ -118,44 +123,31 @@ def gamma_trap_step(agent: AgentState, problem: SearchProblem,
     """
     s = agent.current
     table = agent.table
-    gamma = cfg.gamma
-    hs = table.lookup(s)
+    lookup = table.lookup
+    hs = lookup(s)
     backtracking = cfg.algorithm is Algorithm.GTRAP_BT
 
     if cfg.d_max == 1:
-        succ = problem.successors(s)
-        if not succ:
-            raise DomainViolation(f"state {s!r} has no neighbors")
-        lookup = table.lookup
-        best = None
-        ties: list = []
-        for a, nxt, c in succ:
-            v = gamma * c + lookup(nxt)
-            if best is None or v < best:
-                best = v
-                ties = [(nxt, (a,))]
-            elif v == best:
-                ties.append((nxt, (a,)))
-        per_depth = [(best, ties)]
+        # floor 0.0, not 0: the scores are floats, and comparing like with
+        # like is the interpreter's fast path
+        per_depth = [_score_successors(problem, s, lookup, cfg.gamma, 0.0)]
     else:
         per_depth = []
-        best = None
         for layer in iter_layers(problem, s, cfg.d_max):
-            best, ties = _score_layer(layer, table, gamma)
-            if best <= hs:
+            per_depth.append(_score_layer(layer, lookup, cfg.gamma))
+            if per_depth[-1][0] <= hs:
                 break
-            per_depth.append((best, ties))
-        else:
-            best = None  # every expanded depth was trapped
-        if not per_depth and best is None:
+        if not per_depth:
             raise DomainViolation(f"state {s!r} has no neighbors")
 
-    if best is not None and best <= hs:
-        _, acts = _pick(ties, agent.rng)
+    best, ties = per_depth[-1]
+    if best <= hs:
+        acts = _pick(ties, agent.rng)
         if backtracking:
             agent.trail.append((s, acts))
         return list(acts)
 
+    # every expanded depth was trapped
     new_h = max(v for v, _ in per_depth)
     assert new_h > hs, "trapped everywhere yet no strict increase"
     table.write(s, new_h, upward_only=True)
@@ -169,8 +161,7 @@ def gamma_trap_step(agent: AgentState, problem: SearchProblem,
 
     overall = min(v for v, _ in per_depth)
     pool = [m for v, t in per_depth if v == overall for m in t]
-    _, acts = _pick(pool, agent.rng)
-    return list(acts)
+    return list(_pick(pool, agent.rng))
 
 
 def lrta_step(agent: AgentState, problem: SearchProblem,
@@ -188,30 +179,12 @@ def lrta_step(agent: AgentState, problem: SearchProblem,
     lookup = table.lookup
     hs = lookup(s)
 
+    # gamma 1 as an int keeps integer heuristics integral
     if cfg.d_max == 1:
-        succ = problem.successors(s)
-        if not succ:
-            raise DomainViolation(f"state {s!r} has no neighbors")
-        best = None
-        ties: list = []
-        for a, nxt, c in succ:
-            v = c + lookup(nxt)
-            if best is None or v < best:
-                best = v
-                ties = [(a,)]
-            elif v == best:
-                ties.append((a,))
+        best, ties = _score_successors(problem, s, lookup, 1, 0)
     else:
-        best = None
-        ties = []
-        for layer in iter_layers(problem, s, cfg.d_max):
-            for state, reach, acts in layer:
-                v = reach + lookup(state)
-                if best is None or v < best:
-                    best = v
-                    ties = [acts]
-                elif v == best:
-                    ties.append(acts)
+        best, ties = _score_layer(
+            chain.from_iterable(iter_layers(problem, s, cfg.d_max)), lookup, 1)
         if best is None:
             raise DomainViolation(f"state {s!r} has no neighbors")
 
@@ -225,7 +198,7 @@ def ilrta_step(agent: AgentState, problem: SearchProblem,
                cfg: AgentConfig) -> List[int]:
     """Ball backup like lrta_step plus three refinements: reads always go
     through the (possibly inflated) table, every candidate's score is
-    lifted to max(dist + h, best parent score) seeded with h(current), and
+    lifted to max(dist + h, least parent score) seeded with h(current), and
     writes are strictly upward. The backup value therefore never drops
     below the stored one; equality writes are skipped.
     """
@@ -235,52 +208,18 @@ def ilrta_step(agent: AgentState, problem: SearchProblem,
     hs = lookup(s)
 
     if cfg.d_max == 1:
-        succ = problem.successors(s)
-        if not succ:
-            raise DomainViolation(f"state {s!r} has no neighbors")
-        best = None
-        ties: list = []
-        for a, nxt, c in succ:
-            v = c + lookup(nxt)
-            if v < hs:
-                v = hs
-            if best is None or v < best:
-                best = v
-                ties = [(a,)]
-            elif v == best:
-                ties.append((a,))
+        best, ties = _score_successors(problem, s, lookup, 1, hs)
     else:
         best = None
-        ties = []
-        visited = {s}
-        # frontier entries: (state, reach_cost, actions, lifted score)
-        frontier = [(s, 0, (), hs)]
-        for _ in range(cfg.d_max):
-            found: dict = {}
-            for state, cost, acts, f in frontier:
-                for a, nxt, c in problem.successors(state):
-                    if nxt in visited:
-                        continue
-                    reach = cost + c
-                    prev = found.get(nxt)
-                    if prev is None:
-                        found[nxt] = [reach, acts + (a,), f]
-                    else:
-                        if reach < prev[0]:
-                            prev[0] = reach
-                            prev[1] = acts + (a,)
-                        if f < prev[2]:
-                            prev[2] = f  # several parents: lift by the least
-                    # (the min parent-f keeps the lift admissible-safe)
-            if not found:
-                break
-            visited.update(found)
-            frontier = []
-            for nxt, (reach, acts, pf) in found.items():
-                f = reach + lookup(nxt)
+        scores = [hs]  # lifted scores of the previous layer
+        for layer in iter_layers(problem, s, cfg.d_max):
+            prev, scores = scores, []
+            for state, reach, acts, parents in layer:
+                f = reach + lookup(state)
+                pf = prev[parents[0]] if len(parents) == 1 else min([prev[i] for i in parents])
                 if pf > f:
                     f = pf
-                frontier.append((nxt, reach, acts, f))
+                scores.append(f)
                 if best is None or f < best:
                     best = f
                     ties = [acts]
@@ -323,10 +262,9 @@ def rta_step(agent: AgentState, problem: SearchProblem,
         inner = lookup(nxt)  # the ball's center, at distance 0
         if deep:
             for layer in iter_layers(problem, nxt, cfg.d_max - 1, blocked=blocked):
-                for state, reach, _ in layer:
-                    v = reach + lookup(state)
-                    if v < inner:
-                        inner = v
+                v, _ = _score_layer(layer, lookup, 1)
+                if v < inner:
+                    inner = v
         score = c + inner
         scores.append(score)
         if best is None or score < best:

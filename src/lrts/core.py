@@ -1,19 +1,22 @@
 """Domain-agnostic real-time search primitives.
 
 The pieces every agent builds on: the problem interface, a learned-heuristic
-table layered over a base heuristic, and exact-depth neighborhood expansion
-with hash-based duplicate pruning.
+table layered over a base heuristic, the one exact-depth neighborhood
+expansion (hash-based duplicate pruning; each member records its parents in
+the previous layer), and the scorers that take the least discounted
+reach + h of a layer, or of the depth-1 successors, with every tie.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator, List, Tuple
+from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 StateId = Hashable
 ActionId = int
 
-# A neighborhood member: (state, reach_cost, action sequence from the origin).
-Member = Tuple[StateId, float, Tuple[ActionId, ...]]
+# A neighborhood member: (state, reach_cost, action sequence from the origin,
+# positions in the previous layer of every member it is reached from).
+Member = Tuple[StateId, float, Tuple[ActionId, ...], Tuple[int, ...]]
 
 
 class DomainViolation(RuntimeError):
@@ -123,42 +126,80 @@ def iter_layers(
 ) -> Iterator[List[Member]]:
     """Yield the exact-depth member list for d = 1..d_max.
 
-    Breadth-first layering with a global visited set (hash-based duplicate
-    pruning), built incrementally so depth d reuses the depth d-1 frontier.
-    Stops as soon as a layer comes up empty. States in `blocked` are never
-    entered or expanded.
+    Breadth-first layering with hash-based duplicate pruning over every
+    state met so far, built incrementally so depth d reuses the depth d-1
+    frontier. A member reached from several previous-layer members keeps
+    the first of its cheapest paths and lists the positions of all of
+    them as its parents. Stops as soon as a layer comes up empty. States
+    in `blocked` are never entered or expanded.
     """
-    visited = {origin} | set(blocked)
-    frontier: List[Member] = [(origin, 0, ())]
+    successors = problem.successors
+    # Position of every state met so far in the concatenation of all layers;
+    # positions below `start` are in earlier layers (origin and blocked: -1).
+    seen = dict.fromkeys(blocked, -1)
+    seen[origin] = -1
+    frontier: List[Member] = [(origin, 0, (), ())]
+    n = start = 0
     for _ in range(d_max):
-        found: dict = {}
-        for state, cost, acts in frontier:
-            for a, nxt, c in problem.successors(state):
-                if nxt in visited:
-                    continue
-                reach = cost + c
-                prev = found.get(nxt)
-                if prev is None or reach < prev[0]:
-                    found[nxt] = (reach, acts + (a,))
-        if not found:
+        layer: List[Member] = []
+        for i, (state, cost, acts, _) in enumerate(frontier):
+            parent = (i,)  # shared by every child, one allocation per parent
+            for a, nxt, c in successors(state):
+                j = seen.get(nxt)
+                if j is None:
+                    seen[nxt] = n
+                    n += 1
+                    layer.append((nxt, cost + c, acts + (a,), parent))
+                elif j >= start:
+                    _, reach, path, parents = layer[j - start]
+                    if cost + c < reach:
+                        reach, path = cost + c, acts + (a,)
+                    layer[j - start] = (nxt, reach, path, parents + parent)
+        if not layer:
             return
-        visited.update(found)
-        frontier = [(s, rc, acts) for s, (rc, acts) in found.items()]
-        yield frontier
+        start = n
+        frontier = layer
+        yield layer
 
 
 def _score_layer(
-    members: List[Member], table: HeuristicTable, gamma: float
-) -> Tuple[float, List[Tuple[StateId, Tuple[ActionId, ...]]]]:
-    """Minimal gamma*reach + h over a layer, with the list of tied members."""
-    lookup = table.lookup
+    members: Iterable[Member], lookup: Callable[[StateId], float], gamma: float
+) -> Tuple[Optional[float], List[Tuple[ActionId, ...]]]:
+    """Least gamma*reach + h over a layer (or any run of members), with the
+    action sequences of every tied member in member order; None and no ties
+    when there are no members."""
     best = None
-    ties: List[Tuple[StateId, Tuple[ActionId, ...]]] = []
-    for state, reach, acts in members:
+    ties: List[Tuple[ActionId, ...]] = []
+    for state, reach, acts, _ in members:
         v = gamma * reach + lookup(state)
         if best is None or v < best:
             best = v
-            ties = [(state, acts)]
+            ties = [acts]
         elif v == best:
-            ties.append((state, acts))
+            ties.append(acts)
+    return best, ties
+
+
+def _score_successors(
+    problem: SearchProblem,
+    s: StateId,
+    lookup: Callable[[StateId], float],
+    gamma: float,
+    floor: float,
+) -> Tuple[float, List[Tuple[ActionId, ...]]]:
+    """The depth-1 layer scored straight off problem.successors(s): least
+    max(gamma*c + h, floor), with the one-action sequence of every tie."""
+    succ = problem.successors(s)
+    if not succ:
+        raise DomainViolation(f"state {s!r} has no neighbors")
+    best = None
+    for a, nxt, c in succ:
+        v = gamma * c + lookup(nxt)
+        if v < floor:
+            v = floor
+        if best is None or v < best:
+            best = v
+            ties = [(a,)]
+        elif v == best:
+            ties.append((a,))
     return best, ties

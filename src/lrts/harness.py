@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .agents import AgentConfig, AgentState, Algorithm, derive_seed, make_agent, step
 from .core import DomainViolation, SearchProblem
-from .oracle import full_bfs_distances, ida_star_optimal
+from .oracle import MAX_BFS_CELLS, full_bfs_distances, ida_star_optimal
 from .tiles import PuzzleInstance, TileBoard, TilePuzzle, load_korf, random_solvable
 
 EXPERIMENTS = ("convergence", "memory", "stability", "first-trial")
@@ -374,7 +374,7 @@ def _optimal_for(task: TaskSpec, config: ExperimentConfig,
                  memo: Dict[Tuple[int, ...], Optional[int]]) -> Optional[int]:
     board = task.start
     tiles = board.tiles
-    if board.width * board.height <= 9:
+    if board.width * board.height <= MAX_BFS_CELLS:
         return full_bfs_distances(board.width, board.height)[tiles]
     if tiles in memo:
         return memo[tiles]

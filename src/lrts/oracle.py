@@ -16,7 +16,7 @@ from .tiles import State, TileBoard, TilePuzzle, goal_board, is_solvable
 # cache per board size within the process.
 _BFS_CACHE: Dict[Tuple[int, int], Dict[State, int]] = {}
 
-_MAX_BFS_CELLS = 9  # 3x3 and smaller; 4x4 has ~1e13 states
+MAX_BFS_CELLS = 9  # 3x3 and smaller; 4x4 has ~1e13 states
 
 
 def full_bfs_distances(width: int, height: int) -> Dict[State, int]:
@@ -30,9 +30,9 @@ def full_bfs_distances(width: int, height: int) -> Dict[State, int]:
     cached = _BFS_CACHE.get(key)
     if cached is not None:
         return cached
-    if width * height > _MAX_BFS_CELLS:
+    if width * height > MAX_BFS_CELLS:
         raise ValueError(
-            f"full-space tabulation is limited to {_MAX_BFS_CELLS} cells, "
+            f"full-space tabulation is limited to {MAX_BFS_CELLS} cells, "
             f"got {width}x{height}"
         )
     puzzle = TilePuzzle(goal_board(width, height))

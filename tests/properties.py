@@ -23,8 +23,9 @@ GOAL8 = tuple(range(9))
 
 def check_exact_depth_layers(seed: int = 0, boards: int = 30, d_max: int = 4) -> int:
     """iter_layers must produce exactly the breadth-first depth classes,
-    with reach cost equal to the depth and action sequences that replay to
-    the member state."""
+    with reach cost equal to the depth, action sequences that replay to
+    the member state, and as parents the positions of exactly those
+    previous-layer members that have the member as a successor."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(boards):
@@ -33,18 +34,24 @@ def check_exact_depth_layers(seed: int = 0, boards: int = 30, d_max: int = 4) ->
         expected = bfs_layers(problem, origin, d_max)
         produced = list(iter_layers(problem, origin, d_max))
         assert len(produced) == d_max, "8-puzzle layers never run dry this shallow"
+        previous = [origin]
         for depth, layer in enumerate(produced, start=1):
             states = [m[0] for m in layer]
             assert len(states) == len(set(states)), f"duplicate state at depth {depth}"
             assert set(states) == expected[depth], f"layer {depth} mismatch"
-            for state, reach, acts in layer:
+            for state, reach, acts, parents in layer:
                 assert reach == depth, f"unit-cost reach {reach} != depth {depth}"
                 assert len(acts) == depth
                 here = origin
                 for a in acts:
                     here, _ = problem.apply(here, a)
                 assert here == state, "action replay missed the member"
+                assert parents == tuple(
+                    i for i, p in enumerate(previous)
+                    if any(n == state for _, n, _ in problem.successors(p))
+                ), f"parents of a depth-{depth} member"
                 checked += 1
+            previous = states
     return checked
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 
@@ -15,7 +16,7 @@ from lrts.agents import (
     rta_step,
     step,
 )
-from lrts.core import DomainViolation, HeuristicTable
+from lrts.core import DomainViolation, HeuristicTable, iter_layers
 from lrts.harness import run_trial, run_until_convergence
 from lrts.tiles import TilePuzzle, random_solvable
 
@@ -82,14 +83,14 @@ def test_trap_upward_discipline_and_trail():
 
 # --- randomized cross-checks against the reference interpreters --------------
 
-def _perturbed_table(problem, s, rng, weight=1.0):
-    """A table whose values near s are randomly inflated, to exercise both
-    the move and the trapped branch.  With some probability every state
-    around s is raised except s itself, digging a pit that guarantees a
-    trap at any lookahead up to 3."""
+def _perturbed_table(problem, s, rng, weight=1.0, radius=4):
+    """A table whose values within `radius` moves of s are randomly
+    inflated, to exercise both the move and the trapped branch.  With some
+    probability every state around s is raised except s itself, digging a
+    pit that guarantees a trap at any lookahead up to 3."""
     table = HeuristicTable(problem.manhattan, weight=weight)
     pit = rng.random() < 0.35
-    for state in bfs_dist_from(problem, s, 4):
+    for state in bfs_dist_from(problem, s, radius):
         if pit:
             if state != s:
                 table.overlay[state] = problem.manhattan(state) + rng.choice((6, 8))
@@ -107,21 +108,34 @@ def _fresh_agent(problem, table, seed):
                       rng=random.Random(seed))
 
 
-def _cases(n, seed):
+def _cases(n, seed, depths=(1, 2, 3)):
     rng = random.Random(seed)
     for i in range(n):
         problem = TilePuzzle(random_solvable(3, 3, rng))
-        for d_max in (1, 2, 3):
+        for d_max in depths:
             yield rng, problem, d_max, i
+
+
+def _deep_cases(seed):
+    """Depth 6 on a few boards: the first 8-puzzle depth where a member is
+    reached from several parents."""
+    return _cases(3, seed, depths=(6,))
+
+
+def _replay(problem, s, actions):
+    for a in actions:
+        s, _ = problem.apply(s, a)
+    return s
 
 
 def test_gamma_trap_matches_reference():
     moves = traps = 0
-    for rng, problem, d_max, i in _cases(20, 101):
+    for rng, problem, d_max, i in chain(_cases(20, 101), _deep_cases(105)):
         for gamma in (0.2, 1.0):
             for algorithm in (Algorithm.GTRAP_BT, Algorithm.GTRAP):
                 cfg = AgentConfig(algorithm, d_max=d_max, gamma=gamma, seed=i)
-                table = _perturbed_table(problem, problem.initial_state, rng)
+                table = _perturbed_table(problem, problem.initial_state, rng,
+                                         radius=max(4, d_max))
                 s = problem.initial_state
                 decision = reference_trap_decision(problem, table.lookup, s, d_max, gamma)
                 agent = _fresh_agent(problem, table, seed=i)
@@ -152,9 +166,10 @@ def test_gamma_trap_matches_reference():
 
 def test_lrta_matches_reference():
     checked = 0
-    for rng, problem, d_max, i in _cases(20, 202):
+    for rng, problem, d_max, i in chain(_cases(20, 202), _deep_cases(206)):
         cfg = AgentConfig(Algorithm.LRTA, d_max=d_max, seed=i)
-        table = _perturbed_table(problem, problem.initial_state, rng)
+        table = _perturbed_table(problem, problem.initial_state, rng,
+                                 radius=max(4, d_max))
         s = problem.initial_state
         backup, targets = reference_lrta_decision(problem, table.lookup, s, d_max)
         ok_moves = acceptable_first_moves(problem, s, targets, d_max)
@@ -163,25 +178,39 @@ def test_lrta_matches_reference():
         assert table.lookup(s) == backup
         assert len(acts) == 1 and acts[0] in ok_moves
         checked += 1
-    assert checked == 60
+    assert checked == 63
 
 
 def test_ilrta_matches_reference():
-    checked = 0
-    for rng, problem, d_max, i in _cases(20, 303):
+    checked = multi_parent = 0
+    # seed 322 holds a depth-6 case whose tie pool differs when a member
+    # with several parents is lifted by its first parent only
+    for rng, problem, d_max, i in chain(_cases(20, 303), _deep_cases(322)):
+        if d_max == 6:
+            multi_parent += sum(len(m[3]) > 1 for layer in
+                                iter_layers(problem, problem.initial_state, d_max)
+                                for m in layer)
         for eps in (0.0, 0.2):
             cfg = AgentConfig(Algorithm.ILRTA, d_max=d_max, epsilon=eps, seed=i)
             table = _perturbed_table(problem, problem.initial_state, rng,
-                                     weight=1.0 + eps)
+                                     weight=1.0 + eps, radius=max(4, d_max))
             s = problem.initial_state
             backup, targets = reference_ilrta_decision(problem, table.lookup, s, d_max)
             ok_moves = acceptable_first_moves(problem, s, targets, d_max)
             agent = _fresh_agent(problem, table, seed=i)
+            agent.rng = RecordingRng(i)
             acts = ilrta_step(agent, problem, cfg)
             assert table.lookup(s) == backup
             assert len(acts) == 1 and acts[0] in ok_moves
+            # the tie pool holds exactly the reference's best candidates
+            pool = agent.rng.pools[0] if agent.rng.pools else None
+            if pool is None:
+                assert len(targets) == 1
+            else:
+                assert sorted(_replay(problem, s, seq) for seq in pool) == \
+                    sorted(n for n, _ in targets)
             checked += 1
-    assert checked == 120
+    assert checked == 126 and multi_parent > 0
 
 
 def test_rta_matches_reference():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -206,6 +207,28 @@ def test_main_outputs_are_deterministic(tmp_path):
     assert a["manifest"] == b["manifest"]
 
 
+# sha256 of runs_<experiment>.csv for fixed argv (default specs, 1 fold x 2
+# instances, seed 87). Any change to what an agent decides, to the run seeds
+# or to the CSV format changes a digest; a deliberate change updates it and
+# says why in CHANGES.md. Seed 87 draws 8-puzzle boards of optimal cost 14 and
+# 13, which keeps the lookahead-6 convergence runs to seconds. Summary CSVs are
+# not pinned: their std columns come from `statistics`, whose last digits may
+# differ across Python versions.
+RUNS_CSV_SHA256 = {
+    ("convergence", "1,2,3,6"): "068a969f802d92b6f99cf6268ef07c166665f439ef79f2447178832aa3728a67",
+    ("first-trial", "1,3"): "05a87959b3a24a5af532cda6e7fc69b5c287d3079b0f5c4cbc6cbd1dd4bd67b2",
+}
+
+
+@pytest.mark.parametrize("experiment,lookahead", sorted(RUNS_CSV_SHA256))
+def test_runs_csv_bytes_are_pinned(tmp_path, experiment, lookahead):
+    assert main(["--experiment", experiment, "--lookahead", lookahead,
+                 "--folds", "1", "--instances", "2", "--seed", "87",
+                 "--out-dir", str(tmp_path)]) == 0
+    data = (tmp_path / f"runs_{experiment}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == RUNS_CSV_SHA256[(experiment, lookahead)]
+
+
 def test_main_config_error_exit(tmp_path, capsys):
     assert main(["--experiment", "convergence", "--gamma", "2"]) == 2
     assert "gamma" in capsys.readouterr().err
@@ -304,14 +327,16 @@ def test_bench_tracer_wraps_a_cli_run(tmp_path):
     try:
         tracer.install()
         code = tracer.main(main)([
-            "--experiment", "convergence", "--algorithms", "lrta",
-            "--lookahead", "2", "--folds", "1", "--instances", "1",
+            "--experiment", "convergence", "--algorithms", "lrta,ilrta",
+            "--lookahead", "1,2", "--folds", "1", "--instances", "1",
             "--out-dir", str(tmp_path)])
     finally:
         tracer.uninstall()
     assert code == 0
     assert all(n > 0 for n in tracer.calls.values())
     assert tracer.moves > 0 and tracer.expansions > 0
-    assert len(tracer.results) == 1 and len(tracer.finals) == 1
+    # lrta, ilrta(eps=0.2), ilrta(eps=0.5), each at lookaheads 1 and 2
+    assert len(tracer.results) == 1 and len(tracer.finals) == 6
+    assert tracer.functions["core.iter_layers"][0] > 0
     assert lrts.agents.iter_layers is lrts.core.iter_layers
     assert not hasattr(lrts.harness.ida_star_optimal, "__wrapped__")

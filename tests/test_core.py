@@ -37,16 +37,20 @@ def test_layers_respect_blocked_states():
 
 
 def test_layer_reach_is_min_cost_over_equal_length_paths():
-    # Diamond: two length-2 routes s->t costing 5+1 and 1+9; reach must be 6
-    # and the action sequence must follow the cheaper route through a.
+    # Diamond: two length-2 routes s->t costing 5+1 and 1+9; reach must be 6,
+    # the action sequence must follow the cheaper route through a, and t
+    # must list both a and b as parents.
     g = GraphProblem(
         edges=[("s", "a", 5), ("s", "b", 1), ("a", "t", 1), ("b", "t", 9)],
         initial="s", goals={"t"},
     )
-    depth2 = list(iter_layers(g, "s", 2))[1]
-    (state, reach, acts), = depth2
+    depth1, depth2 = list(iter_layers(g, "s", 2))
+    assert [m[0] for m in depth1] == ["a", "b"]
+    assert [m[3] for m in depth1] == [(0,), (0,)]
+    (state, reach, acts, parents), = depth2
     assert state == "t"
     assert reach == 6
+    assert parents == (0, 1)
     here, total = "s", 0
     for a in acts:
         here, c = g.apply(here, a)
@@ -117,21 +121,21 @@ def test_table_rejects_negative_values():
 # --- layer scoring -----------------------------------------------------------
 
 def test_best_frontier_minimizes_discounted_score():
-    table = HeuristicTable({"a": 10, "b": 2}.__getitem__)
+    lookup = {"a": 10, "b": 2}.__getitem__
     # gamma 0.5 over non-unit reach: a scores 10.5, b scores 3.5
-    best, ties = _score_layer([("a", 1, (0,)), ("b", 3, (1, 1, 1))], table, 0.5)
+    best, ties = _score_layer([("a", 1, (0,), (0,)), ("b", 3, (1, 1, 1), (0,))], lookup, 0.5)
     assert best == 3.5
-    assert ties == [("b", (1, 1, 1))]
+    assert ties == [(1, 1, 1)]
 
 
 def test_best_frontier_breaks_ties_with_seeded_rng():
-    table = HeuristicTable({"a": 1, "b": 3, "c": 1}.__getitem__)
-    members = [("c", 1, (2,)), ("b", 1, (1,)), ("a", 1, (0,))]
-    best, ties = _score_layer(members, table, 1.0)
+    lookup = {"a": 1, "b": 3, "c": 1}.__getitem__
+    members = [("c", 1, (2,), (0,)), ("b", 1, (1,), (0,)), ("a", 1, (0,), (0,))]
+    best, ties = _score_layer(members, lookup, 1.0)
     assert best == 2
-    assert ties == [("c", (2,)), ("a", (0,))]  # every tie, in member order
-    seen = {_pick(ties, random.Random(seed))[0] for seed in range(40)}
-    assert seen == {"a", "c"}
+    assert ties == [(2,), (0,)]  # every tie, in member order
+    seen = {_pick(ties, random.Random(seed)) for seed in range(40)}
+    assert seen == {(0,), (2,)}
 
 
 # --- problem interface -------------------------------------------------------
