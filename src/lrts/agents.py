@@ -21,6 +21,7 @@ h_opt(start) / gamma for unit-cost domains.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,11 +63,11 @@ class AgentConfig:
 
     def __post_init__(self):
         if self.d_max < 1:
-            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
+            raise ValueError(f"lookahead d_max must be >= 1, got {self.d_max}")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
     def tag(self) -> str:
         """Stable identity string; feeds the per-run seed derivation."""

@@ -4,6 +4,10 @@ One invocation runs one experiment family end to end: instance setup,
 agent runs (optionally across worker processes), ground-truth lookup,
 aggregation, CSV and SVG emission, and a JSON manifest capturing every
 knob that influenced the run.
+
+This module parses: it turns flags and config-file text into typed values
+and fills in defaults. ExperimentConfig validates the result, and the
+manifest is written from its fields.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .agents import Algorithm
+from .agents import AgentConfig, Algorithm
 from .harness import (
     DEFAULT_IDA_BUDGET,
     DEFAULT_LOOKAHEADS,
@@ -45,33 +49,6 @@ class ConfigError(ValueError):
     of range, missing instance file, ...)."""
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run byte for byte, plus the output
-    conventions a reader needs to interpret the CSVs."""
-
-    tool_version: str
-    experiment: str
-    domain: str
-    algorithms: List[str]
-    lookaheads: List[int]
-    folds: int
-    instances: int
-    master_seed: int
-    move_limit: int
-    memory_limit: int
-    ida_budget: int
-    korf_file: Optional[str]
-    jobs: int
-    out_dir: str
-    seed_rule: str
-    conventions: Dict[str, str]
-    outputs: List[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
 _SEED_RULE = (
     "run seed = splitmix64 chain over (master_seed xor fnv1a64(tag), fold, "
     "instance); tag = 'algorithm|d=..|g=..|e=..'; instance boards use the "
@@ -94,6 +71,25 @@ _CONVENTIONS = {
     "limits": "move limit applies per trial; the stored-value limit is "
               "checked between trials",
 }
+
+
+@dataclass
+class RunManifest:
+    """Everything needed to reproduce a run byte for byte, plus the output
+    conventions a reader needs to interpret the CSVs."""
+
+    config: ExperimentConfig
+    outputs: List[str]
+
+    def to_json(self) -> str:
+        """Every config field under its own name, except specs (written as
+        "algorithms", one label each) and korf_path (as "korf_file")."""
+        data = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
+        data["algorithms"] = [s.label() for s in data.pop("specs")]
+        data["korf_file"] = data.pop("korf_path")
+        data.update(tool_version=__version__, seed_rule=_SEED_RULE,
+                    conventions=_CONVENTIONS, outputs=self.outputs)
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_list(text: str, what: str, convert: type = float) -> Tuple:
@@ -166,8 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
-    """Merge defaults, config file, and flags (flags strongest) into a
-    validated ExperimentConfig. Raises ConfigError on semantic problems;
+    """Merge defaults, config file, and flags (flags strongest) into an
+    ExperimentConfig, which validates them. Raises ConfigError on semantic
+    problems, whether found while parsing (a malformed number, an unknown
+    key or algorithm, a missing instance file) or by ExperimentConfig;
     argparse handles malformed flags with a usage message and exit 2.
     """
     args = _build_parser().parse_args(argv)
@@ -191,18 +189,11 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     if not experiment:
         raise ConfigError("--experiment is required "
                           f"(one of: {', '.join(EXPERIMENTS)})")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-
     domain = str(merged.get("domain") or "puzzle8")
-    if domain not in DOMAINS:
-        raise ConfigError(f"unknown domain {domain!r} (puzzle8 or puzzle15)")
 
     default_algos = "gtrap-bt,gtrap,lrta,ilrta" + (",rta" if experiment == "first-trial" else "")
     algo_text = str(merged.get("algorithms") or default_algos)
     algo_names = [t.strip() for t in algo_text.split(",") if t.strip()]
-    if not algo_names:
-        raise ConfigError("algorithms: no values given")
     algorithms: List[Algorithm] = []
     valid = {a.value: a for a in Algorithm}
     for name in algo_names:
@@ -213,49 +204,25 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
         algorithms.append(valid[name])
 
     gammas = _parse_list(str(merged.get("gamma") or _DEFAULT_GAMMAS), "gamma")
-    for g in gammas:
-        if not 0 < g <= 1:
-            raise ConfigError(f"gamma must be in (0, 1], got {g:g}")
     epsilons = _parse_list(str(merged.get("epsilon") or _DEFAULT_EPSILONS), "epsilon")
-    for e in epsilons:
-        if e < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {e:g}")
-
     lookahead_text = merged.get("lookahead")
     if lookahead_text is None:
         lookaheads = DEFAULT_LOOKAHEADS
     else:
         lookaheads = _parse_list(str(lookahead_text), "lookahead", int)
-        for d in lookaheads:
-            if d < 1:
-                raise ConfigError(f"lookahead must be >= 1, got {d}")
 
-    def int_of(key: str, default: int, minimum: int) -> int:
+    def int_of(key: str, default: int) -> int:
         raw = merged.get(key)
         if raw is None:
             return default
         try:
-            value = int(raw)
+            return int(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: {raw!r} is not an integer") from None
-        if value < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-        return value
-
-    folds = int_of("folds", 10 if domain == "puzzle8" else 1, 1)
-    instances = int_of("instances", 100, 1)
-    seed = int_of("seed", 0, -(10**18))
-    move_limit = int_of("move-limit", DEFAULT_MOVE_LIMIT, 1)
-    memory_limit = int_of("memory-limit", DEFAULT_MEMORY_LIMIT, 1)
-    jobs = int_of("jobs", 1, 1)
-    ida_budget = int_of("ida-budget", DEFAULT_IDA_BUDGET, 0)
 
     korf_file = merged.get("korf-file")
-    if domain == "puzzle15":
-        if not korf_file:
-            raise ConfigError("puzzle15 requires --korf-file")
-        if not os.path.isfile(str(korf_file)):
-            raise ConfigError(f"instance file not found: {korf_file}")
+    if domain == "puzzle15" and korf_file and not os.path.isfile(str(korf_file)):
+        raise ConfigError(f"korf-file not found: {korf_file}")
     out_dir = str(merged.get("out-dir") or os.environ.get(OUT_DIR_ENV) or "lrts-out")
 
     specs: List[AlgoSpec] = []
@@ -268,20 +235,26 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
             specs.append(AlgoSpec(alg))
 
     try:
+        # gamma and epsilon values that no listed algorithm takes never
+        # reach ExperimentConfig; AgentConfig still rejects them
+        for g in gammas:
+            AgentConfig(Algorithm.GTRAP, gamma=g)
+        for e in epsilons:
+            AgentConfig(Algorithm.ILRTA, epsilon=e)
         return ExperimentConfig(
             experiment=experiment,
             domain=domain,
             specs=tuple(specs),
             lookaheads=tuple(lookaheads),
-            folds=folds,
-            instances=instances,
-            master_seed=seed,
-            move_limit=move_limit,
-            memory_limit=memory_limit,
+            folds=int_of("folds", 10 if domain == "puzzle8" else 1),
+            instances=int_of("instances", 100),
+            master_seed=int_of("seed", 0),
+            move_limit=int_of("move-limit", DEFAULT_MOVE_LIMIT),
+            memory_limit=int_of("memory-limit", DEFAULT_MEMORY_LIMIT),
             korf_path=str(korf_file) if korf_file else None,
             out_dir=out_dir,
-            jobs=jobs,
-            ida_budget=ida_budget,
+            jobs=int_of("jobs", 1),
+            ida_budget=int_of("ida-budget", DEFAULT_IDA_BUDGET),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -322,25 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print("warning: no summary rows, skipping plots", file=sys.stderr)
 
-        manifest = RunManifest(
-            tool_version=__version__,
-            experiment=config.experiment,
-            domain=config.domain,
-            algorithms=[s.label() for s in config.specs],
-            lookaheads=list(config.lookaheads),
-            folds=config.folds,
-            instances=config.instances,
-            master_seed=config.master_seed,
-            move_limit=config.move_limit,
-            memory_limit=config.memory_limit,
-            ida_budget=config.ida_budget,
-            korf_file=config.korf_path,
-            jobs=config.jobs,
-            out_dir=config.out_dir,
-            seed_rule=_SEED_RULE,
-            conventions=dict(_CONVENTIONS),
-            outputs=[os.path.basename(p) for p in outputs],
-        )
+        manifest = RunManifest(config, [os.path.basename(p) for p in outputs])
         manifest_path = os.path.join(config.out_dir, "manifest.json")
         with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest.to_json())

@@ -1,11 +1,14 @@
-"""Benchmark harness: trials, convergence runs, stability indices,
-cross-fold aggregation, and deterministic CSV emission.
+"""Benchmark harness: experiment configuration, trials, convergence runs,
+stability indices, cross-fold aggregation, and deterministic CSV emission.
 
 A "trial" is one walk from the start state to the goal with the learned
 table carried over. Convergence is declared on the first trial that
-completes without a single value-changing table write. Every run is
-seeded individually, so the whole experiment is reproducible move for
-move, sequentially or across worker processes.
+completes without a single value-changing table write. Every run, in
+every experiment, yields one ConvergenceRecord; a first-trial run is a
+record of one trial that never converges. ExperimentConfig is the one
+validator of a configuration. Every run is seeded individually, so the
+whole experiment is reproducible move for move, sequentially or across
+worker processes.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ _MAX_IDLE_CALLS = 1_000_000  # consecutive empty policy returns before giving up
 
 @dataclass
 class TrialRecord:
-    trial_index: int
     solution_cost: float
     h_updates: int
     moves: int
@@ -67,12 +69,15 @@ class TrialRecord:
 
 @dataclass
 class ConvergenceRecord:
+    """One run's outcome; a first-trial run records its single trial with
+    converged_at and convergence_cost None."""
+
     trials: List[TrialRecord]
-    converged_at: Optional[int]  # trial index, None when a limit struck first
-    convergence_cost: float      # travel summed over all recorded trials
-    final_cost: float            # cost of the last recorded trial
+    converged_at: Optional[int]        # 1-based trial number, None when not converged
+    convergence_cost: Optional[float]  # travel summed over all recorded trials
+    final_cost: float                  # cost of the last recorded trial
     stored_values: int
-    limit_hit: Optional[str]     # None | "MOVES" | "MEMORY"
+    limit_hit: Optional[str]           # None | "MOVES" | "MEMORY"
 
 
 @dataclass
@@ -109,9 +114,29 @@ class AlgoSpec:
             name += f"(eps={self.epsilon:g})"
         return name
 
+    def agent_config(self, d_max: int) -> AgentConfig:
+        """The agent configuration this spec runs at lookahead d_max, before
+        the per-run seed is set; AgentConfig rejects out-of-range values."""
+        return AgentConfig(
+            algorithm=self.algorithm, d_max=d_max,
+            gamma=1.0 if self.gamma is None else self.gamma,
+            epsilon=0.0 if self.epsilon is None else self.epsilon,
+        )
+
+
+# Smallest accepted value of each integer field of ExperimentConfig.
+_MINIMUMS = (
+    ("folds", 1), ("instances", 1), ("master_seed", -(10**18)),
+    ("move_limit", 1), ("memory_limit", 1), ("jobs", 1), ("ida_budget", 0),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's whole configuration, validated on construction:
+    every field here, and through AlgoSpec.agent_config the agent rules
+    of each (spec, lookahead) pair that build_tasks will run."""
+
     experiment: str
     domain: str
     specs: Tuple[AlgoSpec, ...]
@@ -128,31 +153,33 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise ValueError(f"unknown experiment {self.experiment!r} "
+                             f"(one of: {', '.join(EXPERIMENTS)})")
         if self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
+            raise ValueError(f"unknown domain {self.domain!r} "
+                             f"(one of: {', '.join(DOMAINS)})")
         if not self.specs:
             raise ValueError("at least one algorithm is required")
-        if not self.lookaheads or any(d < 1 for d in self.lookaheads):
-            raise ValueError(f"lookaheads must be >= 1, got {self.lookaheads}")
-        if self.folds < 1 or self.instances < 1:
-            raise ValueError("folds and instances must be >= 1")
-        if self.move_limit < 1 or self.memory_limit < 1:
-            raise ValueError("limits must be >= 1")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not self.lookaheads:
+            raise ValueError("at least one lookahead is required")
+        for name, minimum in _MINIMUMS:
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
         if self.domain == "puzzle15" and not self.korf_path:
             raise ValueError("puzzle15 requires an instance file (korf_path)")
         for spec in self.specs:
             if spec.algorithm is Algorithm.RTA and self.experiment != "first-trial":
                 raise ValueError(
-                    "rta keeps no table across trials and only runs in the "
-                    "first-trial experiment"
+                    "algorithm rta keeps no table across trials and only runs "
+                    "in the first-trial experiment"
                 )
+            for d in self.lookaheads:
+                spec.agent_config(d)
 
 
 def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
-              move_limit: int = DEFAULT_MOVE_LIMIT, trial_index: int = 1) -> TrialRecord:
+              move_limit: int = DEFAULT_MOVE_LIMIT) -> TrialRecord:
     """Walk the agent from the start state to the goal once.
 
     The update counter is reset here, so h_updates is per-trial. On return
@@ -192,7 +219,6 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
             if is_goal(current) or moves >= move_limit:
                 break
     record = TrialRecord(
-        trial_index=trial_index,
         solution_cost=cost,
         h_updates=table.update_count_this_trial,
         moves=moves,
@@ -217,16 +243,14 @@ def run_until_convergence(agent: AgentState, problem: SearchProblem,
     trials: List[TrialRecord] = []
     converged_at: Optional[int] = None
     limit_hit: Optional[str] = None
-    t = 0
     while True:
-        t += 1
-        rec = run_trial(agent, problem, cfg, move_limit=move_limit, trial_index=t)
+        rec = run_trial(agent, problem, cfg, move_limit=move_limit)
         trials.append(rec)
         if rec.hit_move_limit:
             limit_hit = "MOVES"
             break
         if rec.h_updates == 0:
-            converged_at = t
+            converged_at = len(trials)
             break
         if agent.table.stored_count > memory_limit:
             limit_hit = "MEMORY"
@@ -281,35 +305,25 @@ class TaskSpec:
     memory_limit: int
 
 
-def _run_task(task: TaskSpec) -> Dict:
-    """Execute one run; returns a plain picklable dict."""
+def _run_task(task: TaskSpec) -> ConvergenceRecord:
+    """Execute one run in any experiment."""
     problem = TilePuzzle(task.start)
     cfg = task.cfg
     agent = make_agent(problem, cfg, base=problem.manhattan)
     if task.experiment == "first-trial":
         rec = run_trial(agent, problem, cfg, move_limit=task.move_limit)
-        return {
-            "trial_costs": [rec.solution_cost],
-            "converged_at": None,
-            "convergence_cost": None,
-            "final_cost": rec.solution_cost,
-            "final_complete": not rec.hit_move_limit,
-            "stored_values": agent.table.stored_count,
-            "limit_hit": "MOVES" if rec.hit_move_limit else None,
-        }
-    crec = run_until_convergence(
+        return ConvergenceRecord(
+            trials=[rec],
+            converged_at=None,
+            convergence_cost=None,
+            final_cost=rec.solution_cost,
+            stored_values=agent.table.stored_count,
+            limit_hit="MOVES" if rec.hit_move_limit else None,
+        )
+    return run_until_convergence(
         agent, problem, cfg,
         move_limit=task.move_limit, memory_limit=task.memory_limit,
     )
-    return {
-        "trial_costs": [r.solution_cost for r in crec.trials],
-        "converged_at": crec.converged_at,
-        "convergence_cost": crec.convergence_cost,
-        "final_cost": crec.final_cost,
-        "final_complete": not crec.trials[-1].hit_move_limit,
-        "stored_values": crec.stored_values,
-        "limit_hit": crec.limit_hit,
-    }
 
 
 def generate_instances(config: ExperimentConfig) -> Dict[int, List[PuzzleInstance]]:
@@ -348,11 +362,7 @@ def build_tasks(config: ExperimentConfig) -> List[TaskSpec]:
     tasks: List[TaskSpec] = []
     for spec in config.specs:
         for d in config.lookaheads:
-            cfg = AgentConfig(
-                algorithm=spec.algorithm, d_max=d,
-                gamma=spec.gamma if spec.gamma is not None else 1.0,
-                epsilon=spec.epsilon if spec.epsilon is not None else 0.0,
-            )
+            cfg = spec.agent_config(d)
             tag = cfg.tag()
             for fold in range(config.folds):
                 for inst in per_fold[fold]:
@@ -385,13 +395,15 @@ def _optimal_for(task: TaskSpec, config: ExperimentConfig,
     return cost
 
 
-def _assemble_row(task: TaskSpec, outcome: Dict, optimal: Optional[int]) -> Dict:
+def _assemble_row(task: TaskSpec, record: ConvergenceRecord,
+                  optimal: Optional[int]) -> Dict:
     ratio = None
-    if optimal is not None and optimal > 0 and outcome["final_complete"]:
-        ratio = 100.0 * outcome["final_cost"] / optimal
+    if optimal is not None and optimal > 0 and not record.trials[-1].hit_move_limit:
+        ratio = 100.0 * record.final_cost / optimal
     indices: Optional[StabilityIndices] = None
-    if outcome["converged_at"] is not None and optimal is not None:
-        indices = stability(outcome["trial_costs"], outcome["converged_at"], optimal)
+    if record.converged_at is not None and optimal is not None:
+        costs = [t.solution_cost for t in record.trials]
+        indices = stability(costs, record.converged_at, optimal)
     return {
         "experiment": task.experiment,
         "algorithm": task.spec.algorithm.value,
@@ -401,18 +413,18 @@ def _assemble_row(task: TaskSpec, outcome: Dict, optimal: Optional[int]) -> Dict
         "fold": task.fold,
         "instance_id": task.instance_id,
         "seed": task.cfg.seed,
-        "converged_at": outcome["converged_at"],
-        "convergence_cost": outcome["convergence_cost"],
-        "final_cost": outcome["final_cost"],
+        "converged_at": record.converged_at,
+        "convergence_cost": record.convergence_cost,
+        "final_cost": record.final_cost,
         "optimal_cost": optimal,
         "final_ratio_pct": ratio,
-        "stored_values": outcome["stored_values"],
+        "stored_values": record.stored_values,
         "iae": indices.iae if indices else None,
         "ise": indices.ise if indices else None,
         "itae": indices.itae if indices else None,
         "itse": indices.itse if indices else None,
         "sod": indices.sod if indices else None,
-        "limit_hit": outcome["limit_hit"],
+        "limit_hit": record.limit_hit,
     }
 
 
@@ -444,21 +456,21 @@ def run_experiment(config: ExperimentConfig,
         with ProcessPoolExecutor(max_workers=config.jobs,
                                  initializer=_exit_with_parent) as pool:
             chunk = max(1, total // (config.jobs * 8))
-            outcomes = []
-            for i, outcome in enumerate(pool.map(_run_task, tasks, chunksize=chunk)):
-                outcomes.append(outcome)
+            records = []
+            for i, record in enumerate(pool.map(_run_task, tasks, chunksize=chunk)):
+                records.append(record)
                 if progress:
                     progress(i + 1, total)
     else:
-        outcomes = []
+        records = []
         for i, task in enumerate(tasks):
-            outcomes.append(_run_task(task))
+            records.append(_run_task(task))
             if progress:
                 progress(i + 1, total)
     memo: Dict[Tuple[int, ...], Optional[int]] = {}
     rows = [
-        _assemble_row(task, outcome, _optimal_for(task, config, memo))
-        for task, outcome in zip(tasks, outcomes)
+        _assemble_row(task, record, _optimal_for(task, config, memo))
+        for task, record in zip(tasks, records)
     ]
     return rows, aggregate(rows)
 

@@ -8,9 +8,10 @@ the four directions the blank can move; opposite directions are inverses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from operator import getitem
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import SearchProblem
 
@@ -31,6 +32,7 @@ def invert_action(a: int) -> int:
     return a ^ 1
 
 
+@cache
 def _build_moves(width: int, height: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """moves[blank_cell] = ((action, cell the blank moves to), ...)."""
     table = []
@@ -46,6 +48,7 @@ def _build_moves(width: int, height: int) -> Tuple[Tuple[Tuple[int, int], ...], 
     return tuple(table)
 
 
+@cache
 def _build_md(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
     """md[cell][tile] = Manhattan distance from cell to tile's goal cell.
 
@@ -58,24 +61,6 @@ def _build_md(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
             abs(x - tile % width) + abs(y - tile // width)
             for tile in range(1, width * height)))
     return tuple(table)
-
-
-_MOVE_CACHE: Dict[Tuple[int, int], tuple] = {}
-_MD_CACHE: Dict[Tuple[int, int], tuple] = {}
-
-
-def _moves_for(width: int, height: int) -> tuple:
-    key = (width, height)
-    if key not in _MOVE_CACHE:
-        _MOVE_CACHE[key] = _build_moves(width, height)
-    return _MOVE_CACHE[key]
-
-
-def _md_for(width: int, height: int) -> tuple:
-    key = (width, height)
-    if key not in _MD_CACHE:
-        _MD_CACHE[key] = _build_md(width, height)
-    return _MD_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -122,7 +107,7 @@ def manhattan(board: TileBoard) -> int:
     Admissible and consistent for unit-cost slides: one move changes one
     tile's distance by exactly 1.
     """
-    md = _md_for(board.width, board.height)
+    md = _build_md(board.width, board.height)
     return sum(map(getitem, md, board.tiles))
 
 
@@ -220,16 +205,15 @@ class TilePuzzle(SearchProblem):
     costs are 1, and apply() is O(1) via precomputed blank-move tables.
     """
 
-    __slots__ = ("width", "height", "start", "initial_state", "goal", "_moves", "_md")
+    __slots__ = ("width", "height", "initial_state", "goal", "_moves", "_md")
 
     def __init__(self, start: TileBoard):
         self.width = start.width
         self.height = start.height
-        self.start = start
         self.initial_state: State = start.tiles
         self.goal: State = goal_tiles(start.width, start.height)
-        self._moves = _moves_for(start.width, start.height)
-        self._md = _md_for(start.width, start.height)
+        self._moves = _build_moves(start.width, start.height)
+        self._md = _build_md(start.width, start.height)
 
     def is_goal(self, s: State) -> bool:
         return s == self.goal
@@ -260,6 +244,3 @@ class TilePuzzle(SearchProblem):
     def manhattan(self, s: State) -> int:
         """Tuple-level Manhattan; the base heuristic the agents plug in."""
         return sum(map(getitem, self._md, s))
-
-    def board(self, s: State) -> TileBoard:
-        return TileBoard(self.width, self.height, s)

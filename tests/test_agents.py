@@ -57,8 +57,9 @@ def test_config_validation():
         AgentConfig(Algorithm.GTRAP, gamma=0.0)
     with pytest.raises(ValueError):
         AgentConfig(Algorithm.GTRAP, gamma=1.2)
-    with pytest.raises(ValueError):
-        AgentConfig(Algorithm.ILRTA, epsilon=-0.1)
+    for epsilon in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            AgentConfig(Algorithm.ILRTA, epsilon=epsilon)
 
 
 def test_make_agent_weighting():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -18,7 +19,7 @@ import lrts.agents
 import lrts.core
 import lrts.harness
 from lrts.cli import OUT_DIR_ENV, ConfigError, main, parse_config, read_config_file
-from lrts.harness import DEFAULT_LOOKAHEADS, RUN_COLUMNS, SUMMARY_COLUMNS
+from lrts.harness import DEFAULT_LOOKAHEADS, RUN_COLUMNS, SUMMARY_COLUMNS, ExperimentConfig
 from lrts.plots import bar_chart_svg, emit_plots
 from lrts.tiles import random_solvable
 
@@ -90,23 +91,53 @@ def test_config_file_errors(tmp_path):
         parse_config(["--experiment", "convergence", "--config", str(unknown)])
 
 
-@pytest.mark.parametrize("argv", [
-    ["--experiment", "convergence", "--gamma", "0"],
-    ["--experiment", "convergence", "--gamma", "1.5"],
-    ["--experiment", "convergence", "--gamma", "abc"],
-    ["--experiment", "convergence", "--epsilon", "-0.5"],
-    ["--experiment", "convergence", "--algorithms", "astar"],
-    ["--experiment", "convergence", "--algorithms", "rta"],
-    ["--experiment", "convergence", "--lookahead", "0"],
-    ["--experiment", "convergence", "--folds", "0"],
-    ["--experiment", "convergence", "--jobs", "0"],
-    ["--experiment", "convergence", "--domain", "puzzle15"],
-    ["--experiment", "convergence", "--domain", "puzzle15",
-     "--korf-file", "/no/such/file"],
+_CONV = ["--experiment", "convergence"]
+
+# (argv, the key the error message must name)
+_REJECTED = [
+    (_CONV + ["--gamma", "0"], "gamma"),
+    (_CONV + ["--gamma", "1.5"], "gamma"),
+    (_CONV + ["--gamma", "abc"], "gamma"),
+    (_CONV + ["--epsilon", "-0.5"], "epsilon"),
+    (_CONV + ["--algorithms", "astar"], "algorithm"),
+    (_CONV + ["--algorithms", "rta"], "algorithm"),
+    (_CONV + ["--lookahead", "0"], "lookahead"),
+    (_CONV + ["--folds", "0"], "folds"),
+    (_CONV + ["--jobs", "0"], "jobs"),
+    (_CONV + ["--domain", "puzzle15"], "korf"),
+    (_CONV + ["--domain", "puzzle15", "--korf-file", "/no/such/file"], "korf"),
+    (_CONV + ["--epsilon", "nan"], "epsilon"),
+    (_CONV + ["--epsilon", "inf"], "epsilon"),
+    (_CONV + ["--instances", "0"], "instances"),
+    (_CONV + ["--move-limit", "0"], "move_limit"),
+    (_CONV + ["--memory-limit", "0"], "memory_limit"),
+    (_CONV + ["--ida-budget", "-1"], "ida_budget"),
+    (_CONV + ["--seed", "-1000000000000000001"], "seed"),
+    # values no listed algorithm takes are still checked
+    (_CONV + ["--algorithms", "lrta", "--gamma", "0"], "gamma"),
+    (_CONV + ["--algorithms", "lrta", "--epsilon", "nan"], "epsilon"),
+]
+
+
+@pytest.mark.parametrize("argv,key", [
+    pytest.param(argv, key, id=f"argv{i}") for i, (argv, key) in enumerate(_REJECTED)
 ])
-def test_rejected_configurations(argv):
-    with pytest.raises(ConfigError):
+def test_rejected_configurations(argv, key):
+    with pytest.raises(ConfigError, match=key):
         parse_config(argv)
+
+
+@pytest.mark.parametrize("text,key", [
+    ("experiment = warmup\n", "experiment"),
+    ("experiment = convergence\ndomain = chess\n", "domain"),
+    ("experiment = convergence\nlookahead = 0\n", "lookahead"),
+], ids=["experiment", "domain", "lookahead"])
+def test_rejected_config_file_values(tmp_path, text, key):
+    """Values argparse's choices never see, because they come from a file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(["--config", str(cfg)])
 
 
 def test_malformed_flags_exit_via_argparse():
@@ -227,6 +258,23 @@ def test_runs_csv_bytes_are_pinned(tmp_path, experiment, lookahead):
                  "--out-dir", str(tmp_path)]) == 0
     data = (tmp_path / f"runs_{experiment}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == RUNS_CSV_SHA256[(experiment, lookahead)]
+
+
+# sha256 of manifest.json for _SMOKE with --out-dir out, pinned while the
+# manifest was still written field by field; any change to its keys, values
+# or layout (a tool_version bump included) changes it.
+MANIFEST_SHA256 = "dd8280f4d84135f7724f24a243e7acd66af50e43104751d571a07491fe9f232d"
+
+
+def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_SMOKE + ["--out-dir", "out"]) == 0
+    data = (tmp_path / "out" / "manifest.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == MANIFEST_SHA256
+    renamed = {"specs": "algorithms", "korf_path": "korf_file"}
+    config_keys = {renamed.get(f.name, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    assert set(json.loads(data)) == config_keys | {
+        "tool_version", "seed_rule", "conventions", "outputs"}
 
 
 def test_main_config_error_exit(tmp_path, capsys):

@@ -251,6 +251,10 @@ def test_experiment_config_validation():
         _p8_config(folds=0)
     with pytest.raises(ValueError):
         _p8_config(jobs=0)
+    with pytest.raises(ValueError, match="ida_budget"):
+        _p8_config(ida_budget=-1)
+    with pytest.raises(ValueError, match="epsilon"):
+        _p8_config(specs=(AlgoSpec(Algorithm.ILRTA, epsilon=float("nan")),))
 
 
 def test_run_experiment_rows_cover_every_task():
