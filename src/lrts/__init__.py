@@ -11,11 +11,7 @@ from .agents import (
     AgentState,
     Algorithm,
     derive_seed,
-    gamma_trap_step,
-    ilrta_step,
-    lrta_step,
     make_agent,
-    rta_step,
     step,
 )
 from .core import (
@@ -26,7 +22,6 @@ from .core import (
     iter_layers,
 )
 from .harness import (
-    AlgoSpec,
     ConvergenceRecord,
     ExperimentConfig,
     StabilityIndices,
@@ -53,13 +48,12 @@ from .tiles import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AgentConfig", "AgentState", "Algorithm", "AlgoSpec", "ConvergenceRecord",
+    "AgentConfig", "AgentState", "Algorithm", "ConvergenceRecord",
     "DomainViolation", "DownwardWriteError", "ExperimentConfig",
     "HeuristicTable", "KorfFormatError", "PuzzleInstance", "SearchProblem",
     "StabilityIndices", "TileBoard", "TilePuzzle", "TrialRecord", "aggregate",
-    "derive_seed", "full_bfs_distances", "gamma_trap_step", "goal_board",
-    "ida_star_optimal", "ilrta_step", "is_solvable", "iter_layers",
-    "load_korf", "lrta_step", "make_agent", "manhattan", "random_solvable",
-    "rta_step", "run_experiment", "run_trial", "run_until_convergence",
+    "derive_seed", "full_bfs_distances", "goal_board", "ida_star_optimal",
+    "is_solvable", "iter_layers", "load_korf", "make_agent", "manhattan",
+    "random_solvable", "run_experiment", "run_trial", "run_until_convergence",
     "stability", "step",
 ]

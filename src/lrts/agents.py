@@ -51,6 +51,10 @@ class Algorithm(str, Enum):
     ILRTA = "ilrta"
 
 
+# The algorithms whose policy reads gamma; only ilrta reads epsilon.
+GAMMA_ALGORITHMS = frozenset({Algorithm.GTRAP_BT, Algorithm.GTRAP})
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     """Everything that parameterizes one agent run."""
@@ -68,6 +72,12 @@ class AgentConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.gamma != 1 and self.algorithm not in GAMMA_ALGORITHMS:
+            raise ValueError(f"algorithm {self.algorithm.value} takes no gamma, "
+                             f"got {self.gamma}")
+        if self.epsilon != 0 and self.algorithm is not Algorithm.ILRTA:
+            raise ValueError(f"algorithm {self.algorithm.value} takes no epsilon, "
+                             f"got {self.epsilon}")
 
     def tag(self) -> str:
         """Stable identity string; feeds the per-run seed derivation."""
@@ -109,8 +119,8 @@ def _pick(ties: list, rng: random.Random):
     return ties[0] if len(ties) == 1 else rng.choice(ties)
 
 
-def gamma_trap_step(agent: AgentState, problem: SearchProblem,
-                    cfg: AgentConfig) -> List[int]:
+def _gamma_trap_step(agent: AgentState, problem: SearchProblem,
+                     cfg: AgentConfig) -> List[int]:
     """One decision of the trap-driven policy (both variants).
 
     Expands exact-depth neighborhoods incrementally, shallow first. The
@@ -165,8 +175,8 @@ def gamma_trap_step(agent: AgentState, problem: SearchProblem,
     return list(_pick(pool, agent.rng))
 
 
-def lrta_step(agent: AgentState, problem: SearchProblem,
-              cfg: AgentConfig) -> List[int]:
+def _lrta_step(agent: AgentState, problem: SearchProblem,
+               cfg: AgentConfig) -> List[int]:
     """Single-step learning policy with a ball-wide backup.
 
     Candidates are all states within d_max moves of the current state
@@ -195,9 +205,9 @@ def lrta_step(agent: AgentState, problem: SearchProblem,
     return [acts[0]]
 
 
-def ilrta_step(agent: AgentState, problem: SearchProblem,
-               cfg: AgentConfig) -> List[int]:
-    """Ball backup like lrta_step plus three refinements: reads always go
+def _ilrta_step(agent: AgentState, problem: SearchProblem,
+                cfg: AgentConfig) -> List[int]:
+    """Ball backup like lrta's plus three refinements: reads always go
     through the (possibly inflated) table, every candidate's score is
     lifted to max(dist + h, least parent score) seeded with h(current), and
     writes are strictly upward. The backup value therefore never drops
@@ -236,8 +246,8 @@ def ilrta_step(agent: AgentState, problem: SearchProblem,
     return [acts[0]]
 
 
-def rta_step(agent: AgentState, problem: SearchProblem,
-             cfg: AgentConfig) -> List[int]:
+def _rta_step(agent: AgentState, problem: SearchProblem,
+              cfg: AgentConfig) -> List[int]:
     """Move to the best-looking neighbor, remember the second best.
 
     Each applicable action is scored by its cost plus the cheapest
@@ -283,11 +293,11 @@ def rta_step(agent: AgentState, problem: SearchProblem,
 
 
 _POLICIES = {
-    Algorithm.GTRAP_BT: gamma_trap_step,
-    Algorithm.GTRAP: gamma_trap_step,
-    Algorithm.LRTA: lrta_step,
-    Algorithm.ILRTA: ilrta_step,
-    Algorithm.RTA: rta_step,
+    Algorithm.GTRAP_BT: _gamma_trap_step,
+    Algorithm.GTRAP: _gamma_trap_step,
+    Algorithm.LRTA: _lrta_step,
+    Algorithm.ILRTA: _ilrta_step,
+    Algorithm.RTA: _rta_step,
 }
 
 

@@ -6,8 +6,11 @@ aggregation, CSV and SVG emission, and a JSON manifest capturing every
 knob that influenced the run.
 
 This module parses: it turns flags and config-file text into typed values
-and fills in defaults. ExperimentConfig validates the result, and the
-manifest is written from its fields.
+and passes on only the keys that were given. ExperimentConfig holds the
+defaults, validates the result and expands its algorithm x gamma x
+epsilon x lookahead grid; the manifest is written from its fields. Two
+defaults depend on another key and are set here: first-trial adds rta to
+the default algorithms, and puzzle15 runs one fold.
 """
 
 from __future__ import annotations
@@ -20,17 +23,12 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .agents import AgentConfig, Algorithm
+from .agents import Algorithm
 from .harness import (
-    DEFAULT_IDA_BUDGET,
-    DEFAULT_LOOKAHEADS,
-    DEFAULT_MEMORY_LIMIT,
-    DEFAULT_MOVE_LIMIT,
     DOMAINS,
     EXPERIMENTS,
     RUN_COLUMNS,
     SUMMARY_COLUMNS,
-    AlgoSpec,
     ExperimentConfig,
     run_experiment,
     write_csv,
@@ -38,10 +36,6 @@ from .harness import (
 from .plots import emit_plots
 
 OUT_DIR_ENV = "LRTS_OUT_DIR"
-
-_GAMMA_ALGOS = (Algorithm.GTRAP_BT, Algorithm.GTRAP)
-_DEFAULT_GAMMAS = "0.2,0.5,1.0"
-_DEFAULT_EPSILONS = "0.2,0.5"
 
 
 class ConfigError(ValueError):
@@ -82,10 +76,9 @@ class RunManifest:
     outputs: List[str]
 
     def to_json(self) -> str:
-        """Every config field under its own name, except specs (written as
-        "algorithms", one label each) and korf_path (as "korf_file")."""
+        """Every config field under its own name, except korf_path (written
+        as "korf_file"); an algorithm is written as its name."""
         data = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
-        data["algorithms"] = [s.label() for s in data.pop("specs")]
         data["korf_file"] = data.pop("korf_path")
         data.update(tool_version=__version__, seed_rule=_SEED_RULE,
                     conventions=_CONVENTIONS, outputs=self.outputs)
@@ -142,8 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=EXPERIMENTS)
     p.add_argument("--domain", choices=sorted(DOMAINS))
     p.add_argument("--algorithms", help="comma list: gtrap-bt,gtrap,lrta,rta,ilrta")
-    p.add_argument("--gamma", help=f"comma list of discounts in (0,1], default {_DEFAULT_GAMMAS}")
-    p.add_argument("--epsilon", help=f"comma list of table weights - 1, default {_DEFAULT_EPSILONS}")
+    p.add_argument("--gamma", help="comma list of discounts in (0,1], default "
+                   + ",".join(map(str, ExperimentConfig.gammas)))
+    p.add_argument("--epsilon", help="comma list of table weights - 1, default "
+                   + ",".join(map(str, ExperimentConfig.epsilons)))
     p.add_argument("--lookahead", action="append",
                    help="lookahead depth(s); repeatable or comma-separated")
     p.add_argument("--folds", type=int)
@@ -161,11 +156,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# config key -> ExperimentConfig field, for the keys that hold one integer
+_INT_KEYS = {
+    "folds": "folds", "instances": "instances", "seed": "master_seed",
+    "move-limit": "move_limit", "memory-limit": "memory_limit", "jobs": "jobs",
+    "ida-budget": "ida_budget",
+}
+
+
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
-    """Merge defaults, config file, and flags (flags strongest) into an
-    ExperimentConfig, which validates them. Raises ConfigError on semantic
-    problems, whether found while parsing (a malformed number, an unknown
-    key or algorithm, a missing instance file) or by ExperimentConfig;
+    """Merge config file and flags (flags strongest) into an
+    ExperimentConfig, which fills in the defaults and validates. Raises
+    ConfigError on semantic problems, whether found while parsing (a
+    malformed number, an unknown key or algorithm) or by ExperimentConfig;
     argparse handles malformed flags with a usage message and exit 2.
     """
     args = _build_parser().parse_args(argv)
@@ -185,77 +188,47 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
         if value is not None:
             merged[key] = value
 
-    experiment = str(merged.get("experiment") or "")
+    experiment = merged.get("experiment")
     if not experiment:
         raise ConfigError("--experiment is required "
                           f"(one of: {', '.join(EXPERIMENTS)})")
-    domain = str(merged.get("domain") or "puzzle8")
+    kwargs: Dict[str, object] = {"experiment": experiment}
+    if "domain" in merged:
+        kwargs["domain"] = merged["domain"]
 
-    default_algos = "gtrap-bt,gtrap,lrta,ilrta" + (",rta" if experiment == "first-trial" else "")
-    algo_text = str(merged.get("algorithms") or default_algos)
-    algo_names = [t.strip() for t in algo_text.split(",") if t.strip()]
-    algorithms: List[Algorithm] = []
-    valid = {a.value: a for a in Algorithm}
-    for name in algo_names:
-        if name not in valid:
-            raise ConfigError(
-                f"unknown algorithm {name!r} (valid: {', '.join(sorted(valid))})"
-            )
-        algorithms.append(valid[name])
-
-    gammas = _parse_list(str(merged.get("gamma") or _DEFAULT_GAMMAS), "gamma")
-    epsilons = _parse_list(str(merged.get("epsilon") or _DEFAULT_EPSILONS), "epsilon")
-    lookahead_text = merged.get("lookahead")
-    if lookahead_text is None:
-        lookaheads = DEFAULT_LOOKAHEADS
-    else:
-        lookaheads = _parse_list(str(lookahead_text), "lookahead", int)
-
-    def int_of(key: str, default: int) -> int:
-        raw = merged.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: {raw!r} is not an integer") from None
-
-    korf_file = merged.get("korf-file")
-    if domain == "puzzle15" and korf_file and not os.path.isfile(str(korf_file)):
-        raise ConfigError(f"korf-file not found: {korf_file}")
-    out_dir = str(merged.get("out-dir") or os.environ.get(OUT_DIR_ENV) or "lrts-out")
-
-    specs: List[AlgoSpec] = []
-    for alg in algorithms:
-        if alg in _GAMMA_ALGOS:
-            specs.extend(AlgoSpec(alg, gamma=g) for g in gammas)
-        elif alg is Algorithm.ILRTA:
-            specs.extend(AlgoSpec(alg, epsilon=e) for e in epsilons)
-        else:
-            specs.append(AlgoSpec(alg))
+    if "algorithms" in merged:
+        valid = {a.value: a for a in Algorithm}
+        algorithms = []
+        for name in filter(None, (t.strip() for t in merged["algorithms"].split(","))):
+            if name not in valid:
+                raise ConfigError(
+                    f"unknown algorithm {name!r} (valid: {', '.join(sorted(valid))})"
+                )
+            algorithms.append(valid[name])
+        kwargs["algorithms"] = tuple(algorithms)
+    elif experiment == "first-trial":
+        # the field's default algorithms, plus rta, which only runs here
+        kwargs["algorithms"] = ExperimentConfig.algorithms + (Algorithm.RTA,)
+    for key, name, convert in (("gamma", "gammas", float), ("epsilon", "epsilons", float),
+                               ("lookahead", "lookaheads", int)):
+        if key in merged:
+            kwargs[name] = _parse_list(merged[key], key, convert)
+    for key, name in _INT_KEYS.items():
+        if key in merged:
+            try:
+                kwargs[name] = int(merged[key])
+            except ValueError:
+                raise ConfigError(f"{key}: {merged[key]!r} is not an integer") from None
+    if kwargs.get("domain") == "puzzle15" and "folds" not in kwargs:
+        kwargs["folds"] = 1
+    if merged.get("korf-file"):
+        kwargs["korf_path"] = merged["korf-file"]
+    out_dir = merged.get("out-dir") or os.environ.get(OUT_DIR_ENV)
+    if out_dir:
+        kwargs["out_dir"] = out_dir
 
     try:
-        # gamma and epsilon values that no listed algorithm takes never
-        # reach ExperimentConfig; AgentConfig still rejects them
-        for g in gammas:
-            AgentConfig(Algorithm.GTRAP, gamma=g)
-        for e in epsilons:
-            AgentConfig(Algorithm.ILRTA, epsilon=e)
-        return ExperimentConfig(
-            experiment=experiment,
-            domain=domain,
-            specs=tuple(specs),
-            lookaheads=tuple(lookaheads),
-            folds=int_of("folds", 10 if domain == "puzzle8" else 1),
-            instances=int_of("instances", 100),
-            master_seed=int_of("seed", 0),
-            move_limit=int_of("move-limit", DEFAULT_MOVE_LIMIT),
-            memory_limit=int_of("memory-limit", DEFAULT_MEMORY_LIMIT),
-            korf_path=str(korf_file) if korf_file else None,
-            out_dir=out_dir,
-            jobs=int_of("jobs", 1),
-            ida_budget=int_of("ida-budget", DEFAULT_IDA_BUDGET),
-        )
+        return ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -279,8 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         os.makedirs(config.out_dir, exist_ok=True)
-        expected = (len(config.specs) * len(config.lookaheads)
-                    * config.folds * config.instances)
+        expected = len(config.agent_configs()) * config.folds * config.instances
         print(f"{config.experiment} on {config.domain}: {expected} runs",
               file=sys.stderr)
         rows, summary = run_experiment(config, progress=_progress_printer(expected))

@@ -6,9 +6,10 @@ table carried over. Convergence is declared on the first trial that
 completes without a single value-changing table write. Every run, in
 every experiment, yields one ConvergenceRecord; a first-trial run is a
 record of one trial that never converges. ExperimentConfig is the one
-validator of a configuration. Every run is seeded individually, so the
-whole experiment is reproducible move for move, sequentially or across
-worker processes.
+validator of a configuration and holds its run matrix as a grid,
+algorithms x gammas x epsilons x lookaheads, which agent_configs alone
+expands. Every run is seeded individually, so the whole experiment is
+reproducible move for move, sequentially or across worker processes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .agents import AgentConfig, AgentState, Algorithm, derive_seed, make_agent, step
+from .agents import (
+    GAMMA_ALGORITHMS,
+    AgentConfig,
+    AgentState,
+    Algorithm,
+    derive_seed,
+    make_agent,
+    step,
+)
 from .core import DomainViolation, SearchProblem
 from .oracle import MAX_BFS_CELLS, full_bfs_distances, ida_star_optimal
 from .tiles import PuzzleInstance, TileBoard, TilePuzzle, load_korf, random_solvable
@@ -33,6 +42,8 @@ DOMAINS = {"puzzle8": (3, 3), "puzzle15": (4, 4)}
 
 DEFAULT_MOVE_LIMIT = 500_000
 DEFAULT_MEMORY_LIMIT = 4_000_000
+DEFAULT_GAMMAS = (0.2, 0.5, 1.0)
+DEFAULT_EPSILONS = (0.2, 0.5)
 DEFAULT_LOOKAHEADS = (1, 2, 5, 10, 15)
 DEFAULT_IDA_BUDGET = 1_000_000
 
@@ -97,33 +108,6 @@ class StabilityIndices:
     sod: float
 
 
-@dataclass(frozen=True)
-class AlgoSpec:
-    """One algorithm configuration requested for an experiment; gamma and
-    epsilon stay None for algorithms that do not take them."""
-
-    algorithm: Algorithm
-    gamma: Optional[float] = None
-    epsilon: Optional[float] = None
-
-    def label(self) -> str:
-        name = self.algorithm.value
-        if self.gamma is not None:
-            name += f"({self.gamma:g})"
-        if self.epsilon is not None:
-            name += f"(eps={self.epsilon:g})"
-        return name
-
-    def agent_config(self, d_max: int) -> AgentConfig:
-        """The agent configuration this spec runs at lookahead d_max, before
-        the per-run seed is set; AgentConfig rejects out-of-range values."""
-        return AgentConfig(
-            algorithm=self.algorithm, d_max=d_max,
-            gamma=1.0 if self.gamma is None else self.gamma,
-            epsilon=0.0 if self.epsilon is None else self.epsilon,
-        )
-
-
 # Smallest accepted value of each integer field of ExperimentConfig.
 _MINIMUMS = (
     ("folds", 1), ("instances", 1), ("master_seed", -(10**18)),
@@ -133,13 +117,17 @@ _MINIMUMS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's whole configuration, validated on construction:
-    every field here, and through AlgoSpec.agent_config the agent rules
-    of each (spec, lookahead) pair that build_tasks will run."""
+    """One experiment's whole configuration, validated on construction.
+    algorithms x gammas x epsilons x lookaheads is the grid of agent
+    configurations; each gamma and epsilon is checked by AgentConfig's
+    rules whether or not a listed algorithm takes it."""
 
     experiment: str
-    domain: str
-    specs: Tuple[AlgoSpec, ...]
+    domain: str = "puzzle8"
+    algorithms: Tuple[Algorithm, ...] = (
+        Algorithm.GTRAP_BT, Algorithm.GTRAP, Algorithm.LRTA, Algorithm.ILRTA)
+    gammas: Tuple[float, ...] = DEFAULT_GAMMAS
+    epsilons: Tuple[float, ...] = DEFAULT_EPSILONS
     lookaheads: Tuple[int, ...] = DEFAULT_LOOKAHEADS
     folds: int = 10
     instances: int = 100
@@ -158,24 +146,51 @@ class ExperimentConfig:
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r} "
                              f"(one of: {', '.join(DOMAINS)})")
-        if not self.specs:
-            raise ValueError("at least one algorithm is required")
-        if not self.lookaheads:
-            raise ValueError("at least one lookahead is required")
+        for name in ("algorithms", "gammas", "epsilons", "lookaheads"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must hold at least one value")
+            if len(set(values)) < len(values):
+                shown = ",".join(str(getattr(v, "value", v)) for v in values)
+                raise ValueError(f"{name} must not repeat a value, got {shown}")
         for name, minimum in _MINIMUMS:
             value = getattr(self, name)
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
-        if self.domain == "puzzle15" and not self.korf_path:
-            raise ValueError("puzzle15 requires an instance file (korf_path)")
-        for spec in self.specs:
-            if spec.algorithm is Algorithm.RTA and self.experiment != "first-trial":
-                raise ValueError(
-                    "algorithm rta keeps no table across trials and only runs "
-                    "in the first-trial experiment"
-                )
-            for d in self.lookaheads:
-                spec.agent_config(d)
+        if self.domain == "puzzle15":
+            if not self.korf_path:
+                raise ValueError("puzzle15 requires an instance file (korf_path)")
+            if not os.path.isfile(self.korf_path):
+                raise ValueError(f"korf_path not found: {self.korf_path}")
+        elif self.korf_path is not None:
+            raise ValueError(f"korf_path is only read on puzzle15, got {self.korf_path}")
+        if Algorithm.RTA in self.algorithms and self.experiment != "first-trial":
+            raise ValueError(
+                "algorithm rta keeps no table across trials and only runs "
+                "in the first-trial experiment"
+            )
+        for g in self.gammas:
+            AgentConfig(Algorithm.GTRAP, gamma=g)
+        for e in self.epsilons:
+            AgentConfig(Algorithm.ILRTA, epsilon=e)
+        for d in self.lookaheads:
+            AgentConfig(Algorithm.LRTA, d_max=d)
+
+    def agent_configs(self) -> List[AgentConfig]:
+        """The grid in run order: algorithm, then its gamma or epsilon (a
+        single entry for an algorithm that takes neither), then lookahead;
+        every seed is 0 until build_tasks sets one per run."""
+        out = []
+        for alg in self.algorithms:
+            if alg in GAMMA_ALGORITHMS:
+                params = [{"gamma": g} for g in self.gammas]
+            elif alg is Algorithm.ILRTA:
+                params = [{"epsilon": e} for e in self.epsilons]
+            else:
+                params = [{}]
+            out.extend(AgentConfig(alg, d_max=d, **p)
+                       for p in params for d in self.lookaheads)
+        return out
 
 
 def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
@@ -291,12 +306,10 @@ def stability(costs: Sequence[float], n_converged: int, h_star: float) -> Stabil
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One (algorithm, lookahead, fold, instance) run, fully self-contained
-    so it can ship to a worker process. spec fills the param_* columns;
-    cfg is the agent configuration with this run's seed."""
+    """One (agent configuration, fold, instance) run, fully self-contained
+    so it can ship to a worker process; cfg carries this run's seed."""
 
     experiment: str
-    spec: AlgoSpec
     cfg: AgentConfig
     fold: int
     instance_id: int
@@ -357,26 +370,24 @@ def generate_instances(config: ExperimentConfig) -> Dict[int, List[PuzzleInstanc
 
 
 def build_tasks(config: ExperimentConfig) -> List[TaskSpec]:
-    """Deterministic nested expansion: spec, lookahead, fold, instance."""
+    """Deterministic nested expansion: agent configuration (in the order of
+    ExperimentConfig.agent_configs), fold, instance."""
     per_fold = generate_instances(config)
     tasks: List[TaskSpec] = []
-    for spec in config.specs:
-        for d in config.lookaheads:
-            cfg = spec.agent_config(d)
-            tag = cfg.tag()
-            for fold in range(config.folds):
-                for inst in per_fold[fold]:
-                    seed = derive_seed(config.master_seed, fold, inst.instance_id, tag)
-                    tasks.append(TaskSpec(
-                        experiment=config.experiment,
-                        spec=spec,
-                        cfg=replace(cfg, seed=seed),
-                        fold=fold,
-                        instance_id=inst.instance_id,
-                        start=inst.start,
-                        move_limit=config.move_limit,
-                        memory_limit=config.memory_limit,
-                    ))
+    for cfg in config.agent_configs():
+        tag = cfg.tag()
+        for fold in range(config.folds):
+            for inst in per_fold[fold]:
+                seed = derive_seed(config.master_seed, fold, inst.instance_id, tag)
+                tasks.append(TaskSpec(
+                    experiment=config.experiment,
+                    cfg=replace(cfg, seed=seed),
+                    fold=fold,
+                    instance_id=inst.instance_id,
+                    start=inst.start,
+                    move_limit=config.move_limit,
+                    memory_limit=config.memory_limit,
+                ))
     return tasks
 
 
@@ -404,15 +415,16 @@ def _assemble_row(task: TaskSpec, record: ConvergenceRecord,
     if record.converged_at is not None and optimal is not None:
         costs = [t.solution_cost for t in record.trials]
         indices = stability(costs, record.converged_at, optimal)
+    cfg = task.cfg
     return {
         "experiment": task.experiment,
-        "algorithm": task.spec.algorithm.value,
-        "param_gamma": task.spec.gamma,
-        "param_epsilon": task.spec.epsilon,
-        "lookahead": task.cfg.d_max,
+        "algorithm": cfg.algorithm.value,
+        "param_gamma": cfg.gamma if cfg.algorithm in GAMMA_ALGORITHMS else None,
+        "param_epsilon": cfg.epsilon if cfg.algorithm is Algorithm.ILRTA else None,
+        "lookahead": cfg.d_max,
         "fold": task.fold,
         "instance_id": task.instance_id,
-        "seed": task.cfg.seed,
+        "seed": cfg.seed,
         "converged_at": record.converged_at,
         "convergence_cost": record.convergence_cost,
         "final_cost": record.final_cost,

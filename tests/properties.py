@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from lrts.agents import AgentConfig, Algorithm, gamma_trap_step, make_agent
+from lrts.agents import AgentConfig, Algorithm, make_agent, step
 from lrts.core import HeuristicTable, iter_layers
 from lrts.harness import run_until_convergence
 from lrts.oracle import full_bfs_distances
@@ -143,7 +143,7 @@ def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
                 break
             before_updates = agent.table.update_count_this_trial
             origin = current
-            acts = gamma_trap_step(agent, problem, cfg)
+            acts = step(agent, problem, cfg)
             for a in acts:
                 current, _ = problem.apply(current, a)
             agent.current = current
@@ -179,10 +179,10 @@ def check_trap_hand_traces() -> int:
     h0 = {0: 2, 1: 4, 2: 2, 3: 1, 4: 0}
     cfg = AgentConfig(Algorithm.GTRAP_BT, d_max=2, gamma=1.0, seed=0)
     agent = make_agent(problem, cfg, base=h0.__getitem__)
-    assert gamma_trap_step(agent, problem, cfg) == []
+    assert step(agent, problem, cfg) == []
     assert agent.table.lookup(0) == 5
     # Next call: depth 1 offers 1+4 = 5 <= 5, so move right, no write.
-    assert gamma_trap_step(agent, problem, cfg) == [LineProblem.RIGHT]
+    assert step(agent, problem, cfg) == [LineProblem.RIGHT]
     assert agent.table.lookup(0) == 5 and agent.table.lookup(1) == 4
     checked += 2
 
@@ -190,7 +190,7 @@ def check_trap_hand_traces() -> int:
     # to the overall best member, state 2 at depth 2 (score 4 < 5).
     cfg_nb = AgentConfig(Algorithm.GTRAP, d_max=2, gamma=1.0, seed=0)
     agent = make_agent(problem, cfg_nb, base=h0.__getitem__)
-    assert gamma_trap_step(agent, problem, cfg_nb) == [LineProblem.RIGHT] * 2
+    assert step(agent, problem, cfg_nb) == [LineProblem.RIGHT] * 2
     assert agent.table.lookup(0) == 5
     checked += 1
 
@@ -200,11 +200,11 @@ def check_trap_hand_traces() -> int:
     h1 = {0: 10, 1: 9, 2: 8, 3: 20, 4: 0}
     cfg_bt = AgentConfig(Algorithm.GTRAP_BT, d_max=1, gamma=1.0, seed=0)
     agent = make_agent(problem, cfg_bt, base=h1.__getitem__)
-    assert gamma_trap_step(agent, problem, cfg_bt) == [LineProblem.RIGHT]
+    assert step(agent, problem, cfg_bt) == [LineProblem.RIGHT]
     agent.current = 1
-    assert gamma_trap_step(agent, problem, cfg_bt) == [LineProblem.RIGHT]
+    assert step(agent, problem, cfg_bt) == [LineProblem.RIGHT]
     agent.current = 2
-    assert gamma_trap_step(agent, problem, cfg_bt) == [LineProblem.LEFT]
+    assert step(agent, problem, cfg_bt) == [LineProblem.LEFT]
     assert agent.table.lookup(2) == 10
     assert agent.trail == [(0, (LineProblem.RIGHT,))]
     checked += 3
@@ -215,7 +215,7 @@ def check_trap_hand_traces() -> int:
     h2 = {0: 1, 1: 2, 2: 0, 3: 5, 4: 0}
     cfg_g = AgentConfig(Algorithm.GTRAP_BT, d_max=2, gamma=0.5, seed=0)
     agent = make_agent(problem, cfg_g, base=h2.__getitem__)
-    assert gamma_trap_step(agent, problem, cfg_g) == [LineProblem.RIGHT] * 2
+    assert step(agent, problem, cfg_g) == [LineProblem.RIGHT] * 2
     assert agent.table.overlay == {}
     checked += 1
 

@@ -16,7 +16,6 @@ import pytest
 from lrts.agents import AgentConfig, Algorithm, make_agent
 from lrts.cli import main
 from lrts.harness import (
-    AlgoSpec,
     ExperimentConfig,
     run_experiment,
     run_until_convergence,
@@ -39,17 +38,9 @@ MEMORY_CAP = 4_000_000
 MATRIX_CONFIG = ExperimentConfig(
     experiment="convergence",
     domain="puzzle8",
-    specs=(
-        AlgoSpec(Algorithm.GTRAP_BT, gamma=0.2),
-        AlgoSpec(Algorithm.GTRAP_BT, gamma=0.5),
-        AlgoSpec(Algorithm.GTRAP_BT, gamma=1.0),
-        AlgoSpec(Algorithm.GTRAP, gamma=0.2),
-        AlgoSpec(Algorithm.GTRAP, gamma=0.5),
-        AlgoSpec(Algorithm.GTRAP, gamma=1.0),
-        AlgoSpec(Algorithm.LRTA),
-        AlgoSpec(Algorithm.ILRTA, epsilon=0.2),
-        AlgoSpec(Algorithm.ILRTA, epsilon=0.5),
-    ),
+    algorithms=(Algorithm.GTRAP_BT, Algorithm.GTRAP, Algorithm.LRTA, Algorithm.ILRTA),
+    gammas=GAMMAS,
+    epsilons=(0.2, 0.5),
     lookaheads=(1,),
     folds=3,
     instances=100,

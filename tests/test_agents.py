@@ -4,16 +4,13 @@ from itertools import chain
 import pytest
 
 from lrts.agents import (
+    GAMMA_ALGORITHMS,
     RTA_INFINITY,
     AgentConfig,
     AgentState,
     Algorithm,
     derive_seed,
-    gamma_trap_step,
-    ilrta_step,
-    lrta_step,
     make_agent,
-    rta_step,
     step,
 )
 from lrts.core import DomainViolation, HeuristicTable, iter_layers
@@ -60,6 +57,13 @@ def test_config_validation():
     for epsilon in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             AgentConfig(Algorithm.ILRTA, epsilon=epsilon)
+    # a knob the algorithm never reads is rejected, not folded into the seed
+    for algorithm in (Algorithm.LRTA, Algorithm.RTA, Algorithm.ILRTA):
+        with pytest.raises(ValueError, match="takes no gamma"):
+            AgentConfig(algorithm, gamma=0.5)
+    for algorithm in (Algorithm.GTRAP_BT, Algorithm.GTRAP, Algorithm.LRTA, Algorithm.RTA):
+        with pytest.raises(ValueError, match="takes no epsilon"):
+            AgentConfig(algorithm, epsilon=0.2)
 
 
 def test_make_agent_weighting():
@@ -141,7 +145,7 @@ def test_gamma_trap_matches_reference():
                 decision = reference_trap_decision(problem, table.lookup, s, d_max, gamma)
                 agent = _fresh_agent(problem, table, seed=i)
                 table.update_count_this_trial = 0
-                acts = gamma_trap_step(agent, problem, cfg)
+                acts = step(agent, problem, cfg)
                 wrote = table.update_count_this_trial > 0
                 dest = s
                 for a in acts:
@@ -175,7 +179,7 @@ def test_lrta_matches_reference():
         backup, targets = reference_lrta_decision(problem, table.lookup, s, d_max)
         ok_moves = acceptable_first_moves(problem, s, targets, d_max)
         agent = _fresh_agent(problem, table, seed=i)
-        acts = lrta_step(agent, problem, cfg)
+        acts = step(agent, problem, cfg)
         assert table.lookup(s) == backup
         assert len(acts) == 1 and acts[0] in ok_moves
         checked += 1
@@ -200,7 +204,7 @@ def test_ilrta_matches_reference():
             ok_moves = acceptable_first_moves(problem, s, targets, d_max)
             agent = _fresh_agent(problem, table, seed=i)
             agent.rng = RecordingRng(i)
-            acts = ilrta_step(agent, problem, cfg)
+            acts = step(agent, problem, cfg)
             assert table.lookup(s) == backup
             assert len(acts) == 1 and acts[0] in ok_moves
             # the tie pool holds exactly the reference's best candidates
@@ -222,7 +226,7 @@ def test_rta_matches_reference():
         s = problem.initial_state
         best_actions, second = reference_rta_decision(problem, table.lookup, s, d_max)
         agent = _fresh_agent(problem, table, seed=i)
-        acts = rta_step(agent, problem, cfg)
+        acts = step(agent, problem, cfg)
         assert len(acts) == 1 and acts[0] in best_actions
         assert table.overlay[s] == second
         checked += 1
@@ -236,7 +240,7 @@ def test_rta_stores_sentinel_with_single_action():
     h = {0: 3, 1: 2, 2: 9, 3: 9, 4: 0}
     cfg = AgentConfig(Algorithm.RTA, d_max=1, seed=0)
     agent = make_agent(line, cfg, base=h.__getitem__)
-    acts = rta_step(agent, line, cfg)
+    acts = step(agent, line, cfg)
     assert acts == [LineProblem.RIGHT]
     assert agent.table.lookup(0) == RTA_INFINITY
 
@@ -248,7 +252,7 @@ def test_rta_deep_probe_excludes_current_state():
     h = {0: 6, 1: 0, 2: 5, 3: 1, 4: 0}
     cfg = AgentConfig(Algorithm.RTA, d_max=2, seed=0)
     agent = make_agent(line, cfg, base=h.__getitem__)
-    acts = rta_step(agent, line, cfg)
+    acts = step(agent, line, cfg)
     assert acts == [LineProblem.RIGHT]  # right scores 1 + min(5, 1+1) = 3
     assert agent.table.lookup(1) == 7   # runner-up: 1 + 6 through state 0
 
@@ -258,7 +262,7 @@ def test_rta_second_best_equals_best_on_ties():
     h = {0: 4, 1: 0, 2: 4}
     cfg = AgentConfig(Algorithm.RTA, d_max=1, seed=1)
     agent = make_agent(line, cfg, base=h.__getitem__)
-    rta_step(agent, line, cfg)
+    step(agent, line, cfg)
     assert agent.table.lookup(1) == 5
 
 
@@ -270,7 +274,7 @@ def test_ilrta_lifts_children_to_the_root_score():
     cfg = AgentConfig(Algorithm.ILRTA, d_max=1, seed=0)
     agent = make_agent(line, cfg, base=h.__getitem__)
     agent.rng = RecordingRng(0)
-    ilrta_step(agent, line, cfg)
+    step(agent, line, cfg)
     assert agent.table.overlay == {}
     assert [sorted(p) for p in agent.rng.pools] == [[(LineProblem.RIGHT,), (LineProblem.LEFT,)]]
 
@@ -284,7 +288,7 @@ def test_ilrta_lifts_by_the_least_parent():
     cfg = AgentConfig(Algorithm.ILRTA, d_max=2, seed=0)
     agent = make_agent(g, cfg, base=h.__getitem__)
     agent.rng = RecordingRng(0)
-    ilrta_step(agent, g, cfg)
+    step(agent, g, cfg)
     assert agent.table.overlay == {"s": 4}
     assert len(agent.rng.pools) == 1 and len(agent.rng.pools[0]) == 2
 
@@ -319,7 +323,7 @@ def test_lrta_can_lower_values_but_trap_policy_cannot():
     h = {0: 0, 1: 9, 2: 0}
     cfg = AgentConfig(Algorithm.LRTA, d_max=1, seed=0)
     agent = make_agent(line, cfg, base=h.__getitem__)
-    lrta_step(agent, line, cfg)
+    step(agent, line, cfg)
     assert agent.table.lookup(1) == 1  # mini-min drops 9 to 1
 
 
@@ -330,7 +334,7 @@ def test_tie_breaking_covers_both_sides():
     for seed in range(30):
         cfg = AgentConfig(Algorithm.LRTA, d_max=1, seed=seed)
         agent = make_agent(line, cfg, base=h.__getitem__)
-        seen.add(lrta_step(agent, line, cfg)[0])
+        seen.add(step(agent, line, cfg)[0])
     assert seen == {LineProblem.RIGHT, LineProblem.LEFT}
 
 
@@ -338,7 +342,8 @@ def test_policies_raise_on_isolated_state():
     g = GraphProblem(edges=[("a", "b")], initial="lonely", goals={"b"})
     h = {"lonely": 1, "a": 1, "b": 0}
     for algorithm in Algorithm:
-        cfg = AgentConfig(algorithm, d_max=2, gamma=0.5, seed=0)
+        gamma = 0.5 if algorithm in GAMMA_ALGORITHMS else 1.0
+        cfg = AgentConfig(algorithm, d_max=2, gamma=gamma, seed=0)
         agent = make_agent(g, cfg, base=h.__getitem__)
         with pytest.raises(DomainViolation):
             step(agent, g, cfg)

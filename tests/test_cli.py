@@ -37,18 +37,20 @@ def test_defaults():
     assert config.out_dir == "lrts-out"
     assert config.jobs == 1 and config.master_seed == 0
     # three discounts for each trap variant, two weights, plain lrta
-    labels = [s.label() for s in config.specs]
-    assert labels == [
-        "gtrap-bt(0.2)", "gtrap-bt(0.5)", "gtrap-bt(1)",
-        "gtrap(0.2)", "gtrap(0.5)", "gtrap(1)",
-        "lrta",
-        "ilrta(eps=0.2)", "ilrta(eps=0.5)",
+    grid = [(c.algorithm.value, c.gamma, c.epsilon)
+            for c in config.agent_configs() if c.d_max == 1]
+    assert grid == [
+        ("gtrap-bt", 0.2, 0.0), ("gtrap-bt", 0.5, 0.0), ("gtrap-bt", 1.0, 0.0),
+        ("gtrap", 0.2, 0.0), ("gtrap", 0.5, 0.0), ("gtrap", 1.0, 0.0),
+        ("lrta", 1.0, 0.0),
+        ("ilrta", 1.0, 0.2), ("ilrta", 1.0, 0.5),
     ]
+    assert len(config.agent_configs()) == len(grid) * len(DEFAULT_LOOKAHEADS)
 
 
 def test_first_trial_default_includes_rta():
     config = parse_config(["--experiment", "first-trial"])
-    assert "rta" in [s.algorithm.value for s in config.specs]
+    assert "rta" in [a.value for a in config.algorithms]
 
 
 def test_experiment_is_required():
@@ -74,7 +76,7 @@ def test_config_file_with_flag_override(tmp_path):
     config = parse_config(["--config", str(cfg), "--folds", "2"])
     assert config.experiment == "convergence"
     assert config.folds == 2  # flag beats file
-    assert [s.algorithm.value for s in config.specs] == ["lrta"]
+    assert [a.value for a in config.algorithms] == ["lrta"]
 
 
 def test_config_file_errors(tmp_path):
@@ -116,6 +118,13 @@ _REJECTED = [
     # values no listed algorithm takes are still checked
     (_CONV + ["--algorithms", "lrta", "--gamma", "0"], "gamma"),
     (_CONV + ["--algorithms", "lrta", "--epsilon", "nan"], "epsilon"),
+    # an instance file is only read on puzzle15
+    (_CONV + ["--korf-file", "/no/such/file"], "korf"),
+    # a repeated value would rerun the same seeds into one summary group
+    (_CONV + ["--algorithms", "lrta,lrta"], "algorithm"),
+    (_CONV + ["--gamma", "0.5,0.5"], "gamma"),
+    (_CONV + ["--epsilon", "0.2,0.2"], "epsilon"),
+    (_CONV + ["--lookahead", "1,1"], "lookahead"),
 ]
 
 
@@ -212,7 +221,8 @@ def test_main_end_to_end(tmp_path, capsys):
 
     manifest = out["manifest"]
     assert manifest["tool_version"] == "1.0.0"
-    assert manifest["algorithms"] == ["gtrap-bt(0.5)"]
+    assert manifest["algorithms"] == ["gtrap-bt"]
+    assert manifest["gammas"] == [0.5] and manifest["epsilons"] == [0.2, 0.5]
     assert manifest["master_seed"] == 3
     assert sorted(manifest["outputs"]) == sorted(
         ["runs_convergence.csv", "summary_convergence.csv"] + out["plots"])
@@ -238,7 +248,7 @@ def test_main_outputs_are_deterministic(tmp_path):
     assert a["manifest"] == b["manifest"]
 
 
-# sha256 of runs_<experiment>.csv for fixed argv (default specs, 1 fold x 2
+# sha256 of runs_<experiment>.csv for fixed argv (default grid, 1 fold x 2
 # instances, seed 87). Any change to what an agent decides, to the run seeds
 # or to the CSV format changes a digest; a deliberate change updates it and
 # says why in CHANGES.md. Seed 87 draws 8-puzzle boards of optimal cost 14 and
@@ -260,10 +270,11 @@ def test_runs_csv_bytes_are_pinned(tmp_path, experiment, lookahead):
     assert hashlib.sha256(data).hexdigest() == RUNS_CSV_SHA256[(experiment, lookahead)]
 
 
-# sha256 of manifest.json for _SMOKE with --out-dir out, pinned while the
-# manifest was still written field by field; any change to its keys, values
-# or layout (a tool_version bump included) changes it.
-MANIFEST_SHA256 = "dd8280f4d84135f7724f24a243e7acd66af50e43104751d571a07491fe9f232d"
+# sha256 of manifest.json for _SMOKE with --out-dir out, taken when the
+# manifest began to record the grid as algorithms, gammas and epsilons; any
+# change to its keys, values or layout (a tool_version bump included)
+# changes it.
+MANIFEST_SHA256 = "7294a4fd655d7162c67e9680fc0da97da55fc5b7b759ebcd8bb1842c9b8870b3"
 
 
 def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
@@ -271,7 +282,7 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
     assert main(_SMOKE + ["--out-dir", "out"]) == 0
     data = (tmp_path / "out" / "manifest.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == MANIFEST_SHA256
-    renamed = {"specs": "algorithms", "korf_path": "korf_file"}
+    renamed = {"korf_path": "korf_file"}
     config_keys = {renamed.get(f.name, f.name) for f in dataclasses.fields(ExperimentConfig)}
     assert set(json.loads(data)) == config_keys | {
         "tool_version", "seed_rule", "conventions", "outputs"}

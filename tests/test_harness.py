@@ -6,7 +6,6 @@ import pytest
 from lrts.agents import AgentConfig, Algorithm, make_agent
 from lrts.harness import (
     RUN_COLUMNS,
-    AlgoSpec,
     ExperimentConfig,
     StabilityIndices,
     aggregate,
@@ -156,7 +155,7 @@ def test_aggregate_groups_by_parameters():
 def _p8_config(**kw):
     defaults = dict(
         experiment="convergence", domain="puzzle8",
-        specs=(AlgoSpec(Algorithm.GTRAP_BT, gamma=0.5),),
+        algorithms=(Algorithm.GTRAP_BT,), gammas=(0.5,),
         lookaheads=(1,), folds=2, instances=2, master_seed=3,
     )
     defaults.update(kw)
@@ -165,23 +164,29 @@ def _p8_config(**kw):
 
 def test_build_tasks_order_and_seed_spread():
     config = _p8_config(
-        specs=(AlgoSpec(Algorithm.GTRAP_BT, gamma=0.5), AlgoSpec(Algorithm.LRTA)),
-        lookaheads=(1, 2), instances=3,
+        algorithms=(Algorithm.GTRAP_BT, Algorithm.LRTA, Algorithm.ILRTA),
+        gammas=(0.5, 1.0), epsilons=(0.2,), lookaheads=(1, 2), instances=3,
     )
     tasks = build_tasks(config)
-    assert len(tasks) == 2 * 2 * 2 * 3
+    # gtrap-bt at two gammas, lrta, ilrta at one epsilon; 2 lookaheads,
+    # 2 folds, 3 instances
+    assert len(tasks) == 4 * 2 * 2 * 3
     assert tasks == build_tasks(config)
     assert len({t.cfg.seed for t in tasks}) == len(tasks)
-    head = tasks[0]
-    assert head.spec == AlgoSpec(Algorithm.GTRAP_BT, gamma=0.5)
-    assert (head.cfg.algorithm, head.cfg.d_max, head.cfg.gamma) == (Algorithm.GTRAP_BT, 1, 0.5)
-    assert (head.fold, head.instance_id) == (0, 0)
-    tail = tasks[-1]
-    assert tail.spec == AlgoSpec(Algorithm.LRTA) and tail.spec.gamma is None
-    assert (tail.cfg.gamma, tail.cfg.epsilon, tail.cfg.d_max) == (1.0, 0.0, 2)
-    # one AgentConfig per (spec, lookahead): its runs differ only in the seed
-    same = [t.cfg for t in tasks if t.spec == head.spec and t.cfg.d_max == 1]
-    assert {replace(c, seed=0) for c in same} == {replace(head.cfg, seed=0)}
+    # algorithm, then its gamma or epsilon, then lookahead
+    order = [(t.cfg.algorithm.value, t.cfg.gamma, t.cfg.epsilon, t.cfg.d_max)
+             for t in tasks[::2 * 3]]
+    assert order == [
+        ("gtrap-bt", 0.5, 0.0, 1), ("gtrap-bt", 0.5, 0.0, 2),
+        ("gtrap-bt", 1.0, 0.0, 1), ("gtrap-bt", 1.0, 0.0, 2),
+        ("lrta", 1.0, 0.0, 1), ("lrta", 1.0, 0.0, 2),
+        ("ilrta", 1.0, 0.2, 1), ("ilrta", 1.0, 0.2, 2),
+    ]
+    # each configuration runs folds x instances times, differing only in the seed
+    assert [replace(t.cfg, seed=0) for t in tasks] == [
+        c for c in config.agent_configs() for _ in range(2 * 3)]
+    assert [(t.fold, t.instance_id) for t in tasks[:6]] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 def test_puzzle8_folds_draw_distinct_boards():
@@ -234,8 +239,8 @@ def test_file_shorter_than_requested_instances(tmp_path):
 
 def test_rta_only_runs_first_trial():
     with pytest.raises(ValueError):
-        _p8_config(specs=(AlgoSpec(Algorithm.RTA),))
-    _p8_config(specs=(AlgoSpec(Algorithm.RTA),), experiment="first-trial")
+        _p8_config(algorithms=(Algorithm.RTA,))
+    _p8_config(algorithms=(Algorithm.RTA,), experiment="first-trial")
 
 
 def test_experiment_config_validation():
@@ -243,8 +248,13 @@ def test_experiment_config_validation():
         _p8_config(experiment="warmup")
     with pytest.raises(ValueError):
         _p8_config(domain="chess")
-    with pytest.raises(ValueError):
-        _p8_config(specs=())
+    for name in ("algorithms", "gammas", "epsilons", "lookaheads"):
+        with pytest.raises(ValueError, match=name):
+            _p8_config(**{name: ()})
+    with pytest.raises(ValueError, match="gammas"):
+        _p8_config(gammas=(0.5, 0.2, 0.5))
+    with pytest.raises(ValueError, match="algorithms"):
+        _p8_config(algorithms=(Algorithm.LRTA, Algorithm.GTRAP_BT, Algorithm.LRTA))
     with pytest.raises(ValueError):
         _p8_config(lookaheads=(0,))
     with pytest.raises(ValueError):
@@ -253,8 +263,14 @@ def test_experiment_config_validation():
         _p8_config(jobs=0)
     with pytest.raises(ValueError, match="ida_budget"):
         _p8_config(ida_budget=-1)
+    # gamma and epsilon values are checked even where no listed algorithm
+    # takes them
     with pytest.raises(ValueError, match="epsilon"):
-        _p8_config(specs=(AlgoSpec(Algorithm.ILRTA, epsilon=float("nan")),))
+        _p8_config(epsilons=(float("nan"),))
+    with pytest.raises(ValueError, match="gamma"):
+        _p8_config(algorithms=(Algorithm.LRTA,), gammas=(0.0,))
+    with pytest.raises(ValueError, match="korf"):
+        _p8_config(korf_path="instances.txt")
 
 
 def test_run_experiment_rows_cover_every_task():
@@ -278,7 +294,7 @@ def test_parallel_rows_match_sequential():
 def test_first_trial_rows_have_no_convergence_fields():
     config = _p8_config(
         experiment="first-trial",
-        specs=(AlgoSpec(Algorithm.RTA), AlgoSpec(Algorithm.LRTA)),
+        algorithms=(Algorithm.RTA, Algorithm.LRTA),
         folds=1,
     )
     rows, summary = run_experiment(config)
@@ -292,7 +308,7 @@ def test_first_trial_rows_have_no_convergence_fields():
 
 
 def test_move_limited_run_reports_no_ratio():
-    config = _p8_config(specs=(AlgoSpec(Algorithm.LRTA),), folds=1,
+    config = _p8_config(algorithms=(Algorithm.LRTA,), folds=1,
                         instances=1, move_limit=2)
     rows, _ = run_experiment(config)
     (row,) = rows
