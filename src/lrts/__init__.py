@@ -16,7 +16,6 @@ from .agents import (
 )
 from .core import (
     DomainViolation,
-    DownwardWriteError,
     HeuristicTable,
     SearchProblem,
     iter_layers,
@@ -49,7 +48,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AgentConfig", "AgentState", "Algorithm", "ConvergenceRecord",
-    "DomainViolation", "DownwardWriteError", "ExperimentConfig",
+    "DomainViolation", "ExperimentConfig",
     "HeuristicTable", "KorfFormatError", "PuzzleInstance", "SearchProblem",
     "StabilityIndices", "TileBoard", "TilePuzzle", "TrialRecord", "aggregate",
     "derive_seed", "full_bfs_distances", "goal_board", "ida_star_optimal",

@@ -89,13 +89,14 @@ class AgentConfig:
 
 @dataclass
 class AgentState:
-    """Mutable per-run state: position, learned table, backtracking trail,
-    tie-breaking generator, and the actions taken in the current trial."""
+    """Mutable per-run state: position, learned table, backtracking trail
+    (the action sequence of each forward move, newest last), tie-breaking
+    generator, and the actions taken in the current trial."""
 
     current: StateId
     table: HeuristicTable
     rng: random.Random
-    trail: List[Tuple[StateId, Tuple[int, ...]]] = field(default_factory=list)
+    trail: List[Tuple[int, ...]] = field(default_factory=list)
     trial_actions: List[int] = field(default_factory=list)
 
 
@@ -103,14 +104,15 @@ def make_agent(problem: SearchProblem, cfg: AgentConfig,
                base: Callable[[StateId], float]) -> AgentState:
     """Fresh agent at the initial state with an empty learned table.
 
-    ilrta runs on an inflated base (weight 1 + epsilon); everyone else
-    reads the base as given.
+    ilrta is weighted LRTA*: when 1 + epsilon != 1 its table reads the base
+    inflated to (1 + epsilon) * base(s). Everyone else, and ilrta at
+    epsilon 0, reads the base as given, so integer heuristics stay
+    integers. Written values are stored and read back as they are.
     """
-    weight = 1.0 + cfg.epsilon if cfg.algorithm is Algorithm.ILRTA else 1.0
-    table = HeuristicTable(base, weight=weight)
+    weight = 1.0 + cfg.epsilon  # AgentConfig gives epsilon to ilrta only
     return AgentState(
         current=problem.initial_state,
-        table=table,
+        table=HeuristicTable(base if weight == 1.0 else lambda s: weight * base(s)),
         rng=random.Random(cfg.seed),
     )
 
@@ -128,9 +130,10 @@ def _gamma_trap_step(agent: AgentState, problem: SearchProblem,
     ends the call: the action sequence to the best such member is returned
     (ties seeded-random) and nothing is written. Only when every depth up
     to d_max is trapped does learning happen: h(current) is raised to the
-    max over depths of each depth's best score, a strict increase. gtrap-bt
-    then retreats to where the previous forward move started (no move when
-    already at the start state); gtrap moves to the overall best member.
+    max over depths of each depth's best score, a strict increase and the
+    only write this policy makes. gtrap-bt then retreats to where the
+    previous forward move started (no move when already at the start
+    state); gtrap moves to the overall best member.
     """
     s = agent.current
     table = agent.table
@@ -155,19 +158,19 @@ def _gamma_trap_step(agent: AgentState, problem: SearchProblem,
     if best <= hs:
         acts = _pick(ties, agent.rng)
         if backtracking:
-            agent.trail.append((s, acts))
+            agent.trail.append(acts)
         return list(acts)
 
     # every expanded depth was trapped
     new_h = max(v for v, _ in per_depth)
     assert new_h > hs, "trapped everywhere yet no strict increase"
-    table.write(s, new_h, upward_only=True)
+    table.write(s, new_h)
 
     if backtracking:
         if s == problem.initial_state:
             # Nowhere to retreat; the raise above unblocks the next call.
             return []
-        _, forward = agent.trail.pop()
+        forward = agent.trail.pop()
         return [problem.invert(a) for a in reversed(forward)]
 
     overall = min(v for v, _ in per_depth)
@@ -210,8 +213,8 @@ def _ilrta_step(agent: AgentState, problem: SearchProblem,
     """Ball backup like lrta's plus three refinements: reads always go
     through the (possibly inflated) table, every candidate's score is
     lifted to max(dist + h, least parent score) seeded with h(current), and
-    writes are strictly upward. The backup value therefore never drops
-    below the stored one; equality writes are skipped.
+    writes are strictly upward: the lift keeps the backup value from
+    dropping below the stored one, and equality writes are skipped.
     """
     s = agent.current
     table = agent.table
@@ -241,7 +244,7 @@ def _ilrta_step(agent: AgentState, problem: SearchProblem,
 
     assert best >= hs, "lifted scores cannot drop below the seed"
     if best != hs:
-        table.write(s, best, upward_only=True)
+        table.write(s, best)
     acts = _pick(ties, agent.rng)
     return [acts[0]]
 
@@ -253,9 +256,9 @@ def _rta_step(agent: AgentState, problem: SearchProblem,
     Each applicable action is scored by its cost plus the cheapest
     dist + h inside the successor's radius-(d_max - 1) ball, with the
     current state excluded so probes never run back through where the
-    agent stands. The runner-up score is stored at the current state
-    (RTA_INFINITY when only one action applies), which makes the value
-    correct for one trial but deliberately not admissible.
+    agent stands. Every call writes the runner-up score at the current
+    state (RTA_INFINITY when only one action applies), which makes the
+    value correct for one trial but deliberately not admissible.
     """
     s = agent.current
     table = agent.table

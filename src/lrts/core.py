@@ -1,7 +1,8 @@
 """Domain-agnostic real-time search primitives.
 
 The pieces every agent builds on: the problem interface, a learned-heuristic
-table layered over a base heuristic, the one exact-depth neighborhood
+table that stores values over a base heuristic (the policies own every rule
+about when and which way a value changes), the one exact-depth neighborhood
 expansion (hash-based duplicate pruning; each member records its parents in
 the previous layer), and the scorers that take the least discounted
 reach + h of a layer, or of the depth-1 successors, with every tie.
@@ -22,14 +23,6 @@ Member = Tuple[StateId, float, Tuple[ActionId, ...], Tuple[int, ...]]
 class DomainViolation(RuntimeError):
     """The problem broke a contract the algorithms rely on (e.g. a state
     with no neighbors in a space that is supposed to be connected)."""
-
-
-class DownwardWriteError(RuntimeError):
-    """An upward-only heuristic table was asked to lower a stored value.
-
-    The monotone algorithms never lower an estimate, so raising this means
-    the calling code is buggy, not the table.
-    """
 
 
 class SearchProblem:
@@ -65,26 +58,23 @@ class SearchProblem:
 
 
 class HeuristicTable:
-    """Learned heuristic: a sparse overlay over a base function.
+    """Learned heuristic: a sparse overlay over one base function.
 
-    lookup(s) returns the overlay value when one was written and
-    weight * base(s) otherwise (weight 1 leaves the base untouched, so
-    integer-valued heuristics stay integers). stored_count is the number
-    of distinct states ever written, which is the memory figure the
-    benchmarks report; base evaluations are computed, not stored.
-    update_count_this_trial counts value-changing writes and is reset by
-    the trial runner.
+    lookup(s) returns the overlay value when one was written and base(s)
+    otherwise. write(s, v) stores v without reading what was there: each
+    policy decides when a write is due and which way a value may move.
+    stored_count is the number of distinct states ever written, which is
+    the memory figure the benchmarks report; base evaluations are
+    computed, not stored. writes counts every write since the table was
+    built; the trial runner reads its change over a trial.
     """
 
-    __slots__ = ("base", "weight", "overlay", "update_count_this_trial")
+    __slots__ = ("base", "overlay", "writes")
 
-    def __init__(self, base: Callable[[StateId], float], weight: float = 1.0):
-        if weight < 1.0:
-            raise ValueError(f"weight must be >= 1, got {weight}")
+    def __init__(self, base: Callable[[StateId], float]):
         self.base = base
-        self.weight = float(weight)
         self.overlay: dict = {}
-        self.update_count_this_trial = 0
+        self.writes = 0
 
     @property
     def stored_count(self) -> int:
@@ -94,27 +84,13 @@ class HeuristicTable:
         v = self.overlay.get(s)
         if v is not None:
             return v
-        if self.weight == 1.0:
-            return self.base(s)
-        return self.weight * self.base(s)
+        return self.base(s)
 
-    def write(self, s: StateId, v: float, upward_only: bool = False) -> None:
-        """Store v as the learned value of s.
-
-        Counts toward stored_count on the first write to s and toward the
-        trial update count whenever the effective value actually changes.
-        With upward_only, attempts to lower the current value raise
-        DownwardWriteError.
-        """
+    def write(self, s: StateId, v: float) -> None:
+        """Store v as the learned value of s."""
         if v < 0:
             raise ValueError(f"heuristic values are nonnegative, got {v}")
-        cur = self.lookup(s)
-        if upward_only and v < cur:
-            raise DownwardWriteError(
-                f"upward-only write of {v} over current value {cur} at {s!r}"
-            )
-        if v != cur:
-            self.update_count_this_trial += 1
+        self.writes += 1
         self.overlay[s] = v
 
 

@@ -197,13 +197,13 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
               move_limit: int = DEFAULT_MOVE_LIMIT) -> TrialRecord:
     """Walk the agent from the start state to the goal once.
 
-    The update counter is reset here, so h_updates is per-trial. On return
-    the agent is parked back at the start with a cleared trail, table
-    intact, ready for the next trial. A trial that exhausts move_limit is
-    recorded with hit_move_limit and whatever cost accrued.
+    h_updates is the number of table writes made during this trial. On
+    return the agent is parked back at the start with a cleared trail,
+    table intact, ready for the next trial. A trial that exhausts
+    move_limit is recorded with hit_move_limit and whatever cost accrued.
     """
     table = agent.table
-    table.update_count_this_trial = 0
+    writes = table.writes
     actions = agent.trial_actions = []
     is_goal = problem.is_goal
     apply = problem.apply
@@ -235,7 +235,7 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
                 break
     record = TrialRecord(
         solution_cost=cost,
-        h_updates=table.update_count_this_trial,
+        h_updates=table.writes - writes,
         moves=moves,
         hit_move_limit=hit,
     )
@@ -248,7 +248,10 @@ def run_until_convergence(agent: AgentState, problem: SearchProblem,
                           cfg: AgentConfig,
                           move_limit: int = DEFAULT_MOVE_LIMIT,
                           memory_limit: int = DEFAULT_MEMORY_LIMIT) -> ConvergenceRecord:
-    """Repeat trials until one completes with zero value-changing writes.
+    """Repeat trials until one completes with no table write.
+
+    The converging policies write only a value that differs from the
+    stored one, so that is a trial in which no value changed.
 
     A trial that hits the move limit aborts the run (converged_at None,
     limit_hit "MOVES"). The stored-value count is checked between trials;

@@ -8,17 +8,17 @@ iterative-deepening A* with Manhattan distance (any size, budgeted).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Tuple
+from functools import cache
+from typing import Dict, Optional
 
-from .tiles import State, TileBoard, TilePuzzle, goal_board, is_solvable
-
-# Full-space distance maps are expensive to build and immutable once built;
-# cache per board size within the process.
-_BFS_CACHE: Dict[Tuple[int, int], Dict[State, int]] = {}
+from .tiles import State, TileBoard, TilePuzzle, _build_moves, goal_tiles, is_solvable
 
 MAX_BFS_CELLS = 9  # 3x3 and smaller; 4x4 has ~1e13 states
 
 
+# Full-space distance maps are expensive to build and immutable once built;
+# cache per board size within the process.
+@cache
 def full_bfs_distances(width: int, height: int) -> Dict[State, int]:
     """Optimal cost from every reachable state to the goal.
 
@@ -26,18 +26,13 @@ def full_bfs_distances(width: int, height: int) -> Dict[State, int]:
     distance from the goal equals the distance to it. Covers exactly the
     solvable half of the permutation space.
     """
-    key = (width, height)
-    cached = _BFS_CACHE.get(key)
-    if cached is not None:
-        return cached
     if width * height > MAX_BFS_CELLS:
         raise ValueError(
             f"full-space tabulation is limited to {MAX_BFS_CELLS} cells, "
             f"got {width}x{height}"
         )
-    puzzle = TilePuzzle(goal_board(width, height))
-    moves = puzzle._moves
-    goal = puzzle.goal
+    moves = _build_moves(width, height)
+    goal = goal_tiles(width, height)
     dist = {goal: 0}
     queue = deque([goal])
     while queue:
@@ -52,7 +47,6 @@ def full_bfs_distances(width: int, height: int) -> Dict[State, int]:
             if nxt not in dist:
                 dist[nxt] = d
                 queue.append(nxt)
-    _BFS_CACHE[key] = dist
     return dist
 
 

@@ -108,11 +108,6 @@ def bar_chart_svg(title: str, ylabel: str, bars: Sequence[Bar]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_bar_chart(path: str, title: str, ylabel: str, bars: Sequence[Bar]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(bar_chart_svg(title, ylabel, bars))
-
-
 # metric key -> (mean column, std column, file stem, axis label)
 _PLOT_METRICS: Dict[str, List[Tuple[str, str, str, str]]] = {
     "convergence": [
@@ -166,6 +161,7 @@ def emit_plots(summary_rows: List[Dict], out_dir: str, experiment: str) -> List[
         if not bars:
             continue
         path = os.path.join(out_dir, f"plot_{stem}.svg")
-        render_bar_chart(path, f"{experiment}: {ylabel}", ylabel, bars)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(bar_chart_svg(f"{experiment}: {ylabel}", ylabel, bars))
         written.append(path)
     return written

@@ -8,6 +8,7 @@ All of them build their own inputs from an explicit seed.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from lrts.agents import AgentConfig, Algorithm, make_agent, step
 from lrts.core import HeuristicTable, iter_layers
@@ -91,38 +92,66 @@ def check_parity_matches_reachability(seed: int = 0, samples: int = 1000) -> int
     return checked
 
 
-def check_upward_only_discipline(seed: int = 0, instances: int = 3) -> int:
-    """gtrap-bt, gtrap, and ilrta only ever raise stored values, and every
-    write goes through the upward-only gate."""
+class _CheckedTable(HeuristicTable):
+    """Calls check(state, value before, value written) before every write."""
 
-    events = []
+    __slots__ = ("check",)
 
-    class RecordingTable(HeuristicTable):
-        def write(self, s, v, upward_only=False):
-            events.append((s, self.lookup(s), v, upward_only))
-            super().write(s, v, upward_only)
+    def __init__(self, base, check):
+        super().__init__(base)
+        self.check = check
 
+    def write(self, s, v):
+        self.check(s, self.lookup(s), v)
+        super().write(s, v)
+
+
+def _check_converged_writes(seed, instances, configs, check) -> int:
+    """Run every config to convergence on `instances` random 8-puzzle
+    boards, calling check(algorithm name, state, before, value) on each
+    table write as it happens; returns the number of writes checked."""
     rng = random.Random(seed)
     checked = 0
+    for _ in range(instances):
+        problem = TilePuzzle(random_solvable(3, 3, rng))
+        for cfg in configs:
+            agent = make_agent(problem, cfg, base=problem.manhattan)
+            agent.table = _CheckedTable(agent.table.base, partial(check, cfg.algorithm.value))
+            record = run_until_convergence(agent, problem, cfg)
+            assert record.converged_at is not None
+            checked += agent.table.writes
+    return checked
+
+
+def check_upward_only_discipline(seed: int = 0, instances: int = 3) -> int:
+    """gtrap-bt, gtrap, and ilrta only ever raise stored values."""
+
+    def raises(name, s, before, value):
+        assert value > before, f"{name} lowered h at {s}: {before} -> {value}"
+
     configs = [
         AgentConfig(Algorithm.GTRAP_BT, gamma=0.2, seed=1),
         AgentConfig(Algorithm.GTRAP, gamma=0.5, seed=2),
         AgentConfig(Algorithm.ILRTA, epsilon=0.2, seed=3),
     ]
-    for _ in range(instances):
-        problem = TilePuzzle(random_solvable(3, 3, rng))
-        for cfg in configs:
-            agent = make_agent(problem, cfg, base=problem.manhattan)
-            agent.table = RecordingTable(problem.manhattan, weight=agent.table.weight)
-            events.clear()
-            record = run_until_convergence(agent, problem, cfg)
-            assert record.converged_at is not None
-            for s, before, value, upward in events:
-                assert upward, f"{cfg.algorithm.value} wrote without the upward gate"
-                assert value > before, \
-                    f"{cfg.algorithm.value} lowered h at {s}: {before} -> {value}"
-                checked += 1
-    return checked
+    return _check_converged_writes(seed, instances, configs, raises)
+
+
+def check_writes_change_values(seed: int = 0, instances: int = 3) -> int:
+    """Every write of the converging policies changes the stored value.
+    The table counts every write and a run converges on a trial with
+    none, so an unchanged write would hold convergence off."""
+
+    def changes(name, s, before, value):
+        assert value != before, f"{name} rewrote h at {s} unchanged: {value}"
+
+    configs = [
+        AgentConfig(Algorithm.GTRAP_BT, gamma=0.5, seed=1),
+        AgentConfig(Algorithm.GTRAP, gamma=1.0, seed=2),
+        AgentConfig(Algorithm.LRTA, seed=3),
+        AgentConfig(Algorithm.ILRTA, epsilon=0.5, seed=4),
+    ]
+    return _check_converged_writes(seed, instances, configs, changes)
 
 
 def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
@@ -134,20 +163,19 @@ def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
         problem = TilePuzzle(random_solvable(3, 3, rng))
         cfg = AgentConfig(Algorithm.GTRAP_BT, gamma=0.2, seed=11)
         agent = make_agent(problem, cfg, base=problem.manhattan)
-        agent.table.update_count_this_trial = 0
         history = []
         current = agent.current
         backtracks = 0
         for _ in range(200_000):
             if problem.is_goal(current):
                 break
-            before_updates = agent.table.update_count_this_trial
+            before_writes = agent.table.writes
             origin = current
             acts = step(agent, problem, cfg)
             for a in acts:
                 current, _ = problem.apply(current, a)
             agent.current = current
-            wrote = agent.table.update_count_this_trial > before_updates
+            wrote = agent.table.writes > before_writes
             if not wrote:
                 assert acts, "an untrapped call must move"
                 history.append(origin)
@@ -206,7 +234,7 @@ def check_trap_hand_traces() -> int:
     agent.current = 2
     assert step(agent, problem, cfg_bt) == [LineProblem.LEFT]
     assert agent.table.lookup(2) == 10
-    assert agent.trail == [(0, (LineProblem.RIGHT,))]
+    assert agent.trail == [(LineProblem.RIGHT,)]
     checked += 3
 
     # Discounted trap test: gamma 0.5, h = [1, 2, 0, ...]: from 0 the

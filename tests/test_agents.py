@@ -93,7 +93,8 @@ def _perturbed_table(problem, s, rng, weight=1.0, radius=4):
     inflated, to exercise both the move and the trapped branch.  With some
     probability every state around s is raised except s itself, digging a
     pit that guarantees a trap at any lookahead up to 3."""
-    table = HeuristicTable(problem.manhattan, weight=weight)
+    base = problem.manhattan
+    table = HeuristicTable(base if weight == 1.0 else lambda s: weight * base(s))
     pit = rng.random() < 0.35
     for state in bfs_dist_from(problem, s, radius):
         if pit:
@@ -144,9 +145,8 @@ def test_gamma_trap_matches_reference():
                 s = problem.initial_state
                 decision = reference_trap_decision(problem, table.lookup, s, d_max, gamma)
                 agent = _fresh_agent(problem, table, seed=i)
-                table.update_count_this_trial = 0
                 acts = step(agent, problem, cfg)
-                wrote = table.update_count_this_trial > 0
+                wrote = table.writes > 0
                 dest = s
                 for a in acts:
                     dest, _ = problem.apply(dest, a)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from lrts.agents import _pick
-from lrts.core import DownwardWriteError, HeuristicTable, _score_layer, iter_layers
+from lrts.agents import AgentConfig, Algorithm, _pick, make_agent
+from lrts.core import HeuristicTable, _score_layer, iter_layers
 from lrts.tiles import TilePuzzle, random_solvable
 
 from domains import GraphProblem, LineProblem
@@ -79,37 +79,24 @@ def test_table_reads_base_until_written():
 
 
 def test_table_weight_scales_base_but_not_overlay():
-    table = HeuristicTable({0: 4}.__getitem__, weight=1.5)
+    # weighted LRTA* (ilrta, epsilon 0.5) gets a table whose base is inflated
+    table = make_agent(LineProblem(2), AgentConfig(Algorithm.ILRTA, epsilon=0.5),
+                       base={0: 4}.__getitem__).table
     assert table.lookup(0) == 6.0
     table.write(0, 5)
     assert table.lookup(0) == 5
 
 
-def test_table_rejects_weight_below_one():
-    with pytest.raises(ValueError):
-        HeuristicTable(lambda s: 0, weight=0.99)
-
-
-def test_table_counts_only_value_changes():
+def test_table_counts_every_write():
     table = HeuristicTable({0: 3, 1: 1}.__getitem__)
-    table.write(0, 3)  # same as base: stored, but no value change
-    assert table.stored_count == 1
-    assert table.update_count_this_trial == 0
+    table.write(0, 3)  # same as base: still stored and counted
+    assert table.stored_count == 1 and table.writes == 1
     table.write(0, 5)
-    table.write(0, 5)
-    assert table.update_count_this_trial == 1
+    table.write(0, 2)  # the table takes any direction; the policies do not
     table.write(1, 2)
-    assert table.update_count_this_trial == 2
+    assert table.writes == 4
     assert table.stored_count == 2
-
-
-def test_table_upward_only_gate():
-    table = HeuristicTable({0: 3}.__getitem__)
-    table.write(0, 6, upward_only=True)
-    with pytest.raises(DownwardWriteError):
-        table.write(0, 5, upward_only=True)
-    table.write(0, 6, upward_only=True)  # equal is allowed
-    assert table.lookup(0) == 6
+    assert table.lookup(0) == 2
 
 
 def test_table_rejects_negative_values():

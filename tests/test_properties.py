@@ -8,6 +8,7 @@ from properties import (
     check_trail_integrity,
     check_trap_hand_traces,
     check_upward_only_discipline,
+    check_writes_change_values,
 )
 
 
@@ -25,6 +26,10 @@ def test_solvability_parity_matches_reachability():
 
 def test_learning_writes_are_strictly_upward():
     assert check_upward_only_discipline(seed=14) > 0
+
+
+def test_every_write_changes_a_value():
+    assert check_writes_change_values(seed=16) > 0
 
 
 def test_retreats_follow_the_trail_exactly():

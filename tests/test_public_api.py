@@ -4,7 +4,7 @@ import lrts
 # tests call stays private.
 PUBLIC = [
     "AgentConfig", "AgentState", "Algorithm", "ConvergenceRecord",
-    "DomainViolation", "DownwardWriteError", "ExperimentConfig",
+    "DomainViolation", "ExperimentConfig",
     "HeuristicTable", "KorfFormatError", "PuzzleInstance", "SearchProblem",
     "StabilityIndices", "TileBoard", "TilePuzzle", "TrialRecord", "aggregate",
     "derive_seed", "full_bfs_distances", "goal_board", "ida_star_optimal",
