@@ -21,7 +21,9 @@ import statistics
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .agents import (
@@ -309,25 +311,24 @@ def stability(costs: Sequence[float], n_converged: int, h_star: float) -> Stabil
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One (agent configuration, fold, instance) run, fully self-contained
-    so it can ship to a worker process; cfg carries this run's seed."""
+    """One (agent configuration, fold, instance) run: only what varies per
+    run, so it can ship to a worker process; cfg carries this run's seed.
+    The experiment name and limits come from the ExperimentConfig that
+    _run_task is bound to."""
 
-    experiment: str
     cfg: AgentConfig
     fold: int
     instance_id: int
     start: TileBoard
-    move_limit: int
-    memory_limit: int
 
 
-def _run_task(task: TaskSpec) -> ConvergenceRecord:
+def _run_task(config: ExperimentConfig, task: TaskSpec) -> ConvergenceRecord:
     """Execute one run in any experiment."""
     problem = TilePuzzle(task.start)
     cfg = task.cfg
     agent = make_agent(problem, cfg, base=problem.manhattan)
-    if task.experiment == "first-trial":
-        rec = run_trial(agent, problem, cfg, move_limit=task.move_limit)
+    if config.experiment == "first-trial":
+        rec = run_trial(agent, problem, cfg, move_limit=config.move_limit)
         return ConvergenceRecord(
             trials=[rec],
             converged_at=None,
@@ -338,7 +339,7 @@ def _run_task(task: TaskSpec) -> ConvergenceRecord:
         )
     return run_until_convergence(
         agent, problem, cfg,
-        move_limit=task.move_limit, memory_limit=task.memory_limit,
+        move_limit=config.move_limit, memory_limit=config.memory_limit,
     )
 
 
@@ -352,7 +353,7 @@ def generate_instances(config: ExperimentConfig) -> Dict[int, List[PuzzleInstanc
     width, height = DOMAINS[config.domain]
     per_fold: Dict[int, List[PuzzleInstance]] = {}
     if config.domain == "puzzle15":
-        instances = load_korf(config.korf_path, expected_count=None)
+        instances = load_korf(config.korf_path)
         if len(instances) < config.instances:
             raise ValueError(
                 f"instance file holds {len(instances)} instances, "
@@ -382,35 +383,23 @@ def build_tasks(config: ExperimentConfig) -> List[TaskSpec]:
         for fold in range(config.folds):
             for inst in per_fold[fold]:
                 seed = derive_seed(config.master_seed, fold, inst.instance_id, tag)
-                tasks.append(TaskSpec(
-                    experiment=config.experiment,
-                    cfg=replace(cfg, seed=seed),
-                    fold=fold,
-                    instance_id=inst.instance_id,
-                    start=inst.start,
-                    move_limit=config.move_limit,
-                    memory_limit=config.memory_limit,
-                ))
+                tasks.append(TaskSpec(replace(cfg, seed=seed), fold,
+                                      inst.instance_id, inst.start))
     return tasks
 
 
-def _optimal_for(task: TaskSpec, config: ExperimentConfig,
-                 memo: Dict[Tuple[int, ...], Optional[int]]) -> Optional[int]:
-    board = task.start
-    tiles = board.tiles
+def _optimal_cost(board: TileBoard, ida_budget: int) -> Optional[int]:
+    """Full-space BFS where the board is small enough, else IDA* within
+    ida_budget nodes (None when the budget is 0 or runs out)."""
     if board.width * board.height <= MAX_BFS_CELLS:
-        return full_bfs_distances(board.width, board.height)[tiles]
-    if tiles in memo:
-        return memo[tiles]
-    cost: Optional[int] = None
-    if config.ida_budget > 0:
-        cost = ida_star_optimal(TilePuzzle(board), tiles, budget=config.ida_budget)
-    memo[tiles] = cost
-    return cost
+        return full_bfs_distances(board.width, board.height)[board.tiles]
+    if ida_budget > 0:
+        return ida_star_optimal(TilePuzzle(board), board.tiles, budget=ida_budget)
+    return None
 
 
-def _assemble_row(task: TaskSpec, record: ConvergenceRecord,
-                  optimal: Optional[int]) -> Dict:
+def _assemble_row(config: ExperimentConfig, task: TaskSpec,
+                  record: ConvergenceRecord, optimal: Optional[int]) -> Dict:
     ratio = None
     if optimal is not None and optimal > 0 and not record.trials[-1].hit_move_limit:
         ratio = 100.0 * record.final_cost / optimal
@@ -420,7 +409,7 @@ def _assemble_row(task: TaskSpec, record: ConvergenceRecord,
         indices = stability(costs, record.converged_at, optimal)
     cfg = task.cfg
     return {
-        "experiment": task.experiment,
+        "experiment": config.experiment,
         "algorithm": cfg.algorithm.value,
         "param_gamma": cfg.gamma if cfg.algorithm in GAMMA_ALGORITHMS else None,
         "param_epsilon": cfg.epsilon if cfg.algorithm is Algorithm.ILRTA else None,
@@ -461,32 +450,32 @@ def run_experiment(config: ExperimentConfig,
                    ) -> Tuple[List[Dict], List[Dict]]:
     """Run every task and return (per-instance rows, summary rows).
 
-    Worker processes only execute agent runs; ground-truth costs are
-    resolved in the parent, once per distinct board. Results keep
-    task order, so sequential and parallel runs emit identical rows.
+    progress, if given, is called with (0, total) before the first run and
+    (done, total) after each. The pool has at most one worker per task and
+    per CPU, and a single worker runs in this process. Workers only execute
+    agent runs; ground-truth costs are resolved here, once per distinct
+    board. Results keep task order, so any job count emits the same rows.
     """
     tasks = build_tasks(config)
     total = len(tasks)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs,
-                                 initializer=_exit_with_parent) as pool:
-            chunk = max(1, total // (config.jobs * 8))
-            records = []
-            for i, record in enumerate(pool.map(_run_task, tasks, chunksize=chunk)):
-                records.append(record)
-                if progress:
-                    progress(i + 1, total)
-    else:
+    run = partial(_run_task, config)
+    if progress:
+        progress(0, total)
+    workers = min(config.jobs, total, os.cpu_count() or 1)
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+            if workers > 1 else None)
+    with pool or nullcontext():
+        results = (pool.map(run, tasks, chunksize=max(1, total // (workers * 8)))
+                   if pool else map(run, tasks))
         records = []
-        for i, task in enumerate(tasks):
-            records.append(_run_task(task))
+        for done, record in enumerate(results, start=1):
+            records.append(record)
             if progress:
-                progress(i + 1, total)
-    memo: Dict[Tuple[int, ...], Optional[int]] = {}
-    rows = [
-        _assemble_row(task, record, _optimal_for(task, config, memo))
-        for task, record in zip(tasks, records)
-    ]
+                progress(done, total)
+    optimal = {board: _optimal_cost(board, config.ida_budget)
+               for board in {t.start for t in tasks}}
+    rows = [_assemble_row(config, task, record, optimal[task.start])
+            for task, record in zip(tasks, records)]
     return rows, aggregate(rows)
 
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from operator import getitem
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .core import SearchProblem
 
@@ -84,14 +84,6 @@ class TileBoard:
     def blank_index(self) -> int:
         return self.tiles.index(0)
 
-    def is_goal(self) -> bool:
-        return self.tiles == goal_tiles(self.width, self.height)
-
-    def __str__(self) -> str:
-        w = self.width
-        cells = [("." if t == 0 else str(t)).rjust(2) for t in self.tiles]
-        return "\n".join(" ".join(cells[r * w:(r + 1) * w]) for r in range(self.height))
-
 
 def goal_tiles(width: int, height: int) -> State:
     return tuple(range(width * height))
@@ -99,16 +91,6 @@ def goal_tiles(width: int, height: int) -> State:
 
 def goal_board(width: int, height: int) -> TileBoard:
     return TileBoard(width, height, goal_tiles(width, height))
-
-
-def manhattan(board: TileBoard) -> int:
-    """Sum over non-blank tiles of row+column distance to the goal cell.
-
-    Admissible and consistent for unit-cost slides: one move changes one
-    tile's distance by exactly 1.
-    """
-    md = _build_md(board.width, board.height)
-    return sum(map(getitem, md, board.tiles))
 
 
 def inversions(board: TileBoard) -> int:
@@ -159,16 +141,16 @@ class PuzzleInstance:
     start: TileBoard
 
 
-def load_korf(path: str, expected_count: Optional[int] = 100) -> List[PuzzleInstance]:
+def load_korf(path: str) -> List[PuzzleInstance]:
     """Load a 15-puzzle instance file.
 
     Format: one instance per line, an integer index followed by 16 tile
     values (0 = blank) in row-major order, whitespace-separated. Blank
     lines and lines starting with '#' are skipped. Every instance must be
-    solvable; expected_count (None disables the check) pins the number of
-    instances the file must contain.
+    solvable, and no index may appear twice.
     """
     instances: List[PuzzleInstance] = []
+    first_line: Dict[int, int] = {}  # instance index -> line that defined it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -184,6 +166,11 @@ def load_korf(path: str, expected_count: Optional[int] = 100) -> List[PuzzleInst
             except ValueError as exc:
                 raise KorfFormatError(f"line {lineno}: non-integer field ({exc})") from None
             index, tiles = values[0], tuple(values[1:])
+            if index in first_line:
+                raise KorfFormatError(
+                    f"line {lineno}: instance index {index} repeats line {first_line[index]}"
+                )
+            first_line[index] = lineno
             try:
                 board = TileBoard(4, 4, tiles)
             except ValueError as exc:
@@ -191,10 +178,6 @@ def load_korf(path: str, expected_count: Optional[int] = 100) -> List[PuzzleInst
             if not is_solvable(board):
                 raise KorfFormatError(f"line {lineno}: instance {index} is not solvable")
             instances.append(PuzzleInstance(instance_id=index, start=board))
-    if expected_count is not None and len(instances) != expected_count:
-        raise KorfFormatError(
-            f"expected {expected_count} instances, file holds {len(instances)}"
-        )
     return instances
 
 
@@ -242,5 +225,7 @@ class TilePuzzle(SearchProblem):
         raise ValueError(f"action {ACTION_NAMES[a]} not applicable with blank at {blank}")
 
     def manhattan(self, s: State) -> int:
-        """Tuple-level Manhattan; the base heuristic the agents plug in."""
+        """Sum over non-blank tiles of row+column distance to the goal cell;
+        the base heuristic the agents plug in. Admissible and consistent
+        for unit-cost slides: one move changes one tile's distance by 1."""
         return sum(map(getitem, self._md, s))

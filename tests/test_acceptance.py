@@ -21,7 +21,7 @@ from lrts.harness import (
     run_until_convergence,
 )
 from lrts.oracle import full_bfs_distances, ida_star_optimal
-from lrts.tiles import TilePuzzle, load_korf, manhattan, random_solvable
+from lrts.tiles import TilePuzzle, load_korf, random_solvable
 
 from properties import (
     check_exact_depth_layers,
@@ -184,7 +184,8 @@ def test_08_p15_memory(tmp_path, capsys):
         f"{i + 1} " + " ".join(str(t) for t in b.tiles)
         for i, b in enumerate(boards)) + "\n")
     instances = load_korf(str(path))
-    easiest = sorted(instances, key=lambda inst: manhattan(inst.start))[:10]
+    easiest = sorted(
+        instances, key=lambda inst: TilePuzzle(inst.start).manhattan(inst.start.tiles))[:10]
 
     failures = []
     peak = 0

@@ -236,6 +236,12 @@ def test_main_end_to_end(tmp_path, capsys):
         ET.fromstring(svg)  # well-formed XML
 
 
+def test_main_prints_the_run_count_once(tmp_path, capsys):
+    assert main(_SMOKE + ["--lookahead", "2", "--out-dir", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["convergence on puzzle8: 8 runs"] + [f"  run {i}/8" for i in range(1, 9)]
+
+
 def test_main_outputs_are_deterministic(tmp_path):
     a = _run_main(tmp_path / "a")
     b = _run_main(tmp_path / "b")

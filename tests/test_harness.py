@@ -1,3 +1,5 @@
+import dataclasses
+import os
 import random
 from dataclasses import replace
 
@@ -8,6 +10,7 @@ from lrts.harness import (
     RUN_COLUMNS,
     ExperimentConfig,
     StabilityIndices,
+    TaskSpec,
     aggregate,
     build_tasks,
     generate_instances,
@@ -289,6 +292,47 @@ def test_parallel_rows_match_sequential():
     seq = run_experiment(_p8_config())
     par = run_experiment(_p8_config(jobs=2))
     assert seq == par
+
+
+def test_task_spec_holds_only_what_varies_per_run():
+    assert [f.name for f in dataclasses.fields(TaskSpec)] == [
+        "cfg", "fold", "instance_id", "start"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_reports_the_run_count_then_every_run(jobs):
+    calls = []
+    rows, _ = run_experiment(_p8_config(jobs=jobs),
+                             progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(done, 4) for done in range(5)]
+    assert len(rows) == 4
+
+
+def test_pool_has_at_most_one_worker_per_task_and_cpu(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is given and maps in this process."""
+
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("lrts.harness.ProcessPoolExecutor", SerialPool)
+    config = _p8_config(folds=1, instances=3)
+    serial = run_experiment(config)
+    assert sizes == []
+    assert run_experiment(replace(config, jobs=10**6)) == serial
+    workers = min(3, os.cpu_count() or 1)
+    assert sizes == ([workers] if workers > 1 else [])
 
 
 def test_first_trial_rows_have_no_convergence_fields():

@@ -8,7 +8,7 @@ PUBLIC = [
     "HeuristicTable", "KorfFormatError", "PuzzleInstance", "SearchProblem",
     "StabilityIndices", "TileBoard", "TilePuzzle", "TrialRecord", "aggregate",
     "derive_seed", "full_bfs_distances", "goal_board", "ida_star_optimal",
-    "is_solvable", "iter_layers", "load_korf", "make_agent", "manhattan",
+    "is_solvable", "iter_layers", "load_korf", "make_agent",
     "random_solvable", "run_experiment", "run_trial", "run_until_convergence",
     "stability", "step",
 ]

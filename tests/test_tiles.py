@@ -12,7 +12,6 @@ from lrts.tiles import (
     invert_action,
     is_solvable,
     load_korf,
-    manhattan,
     random_solvable,
 )
 
@@ -36,16 +35,20 @@ def test_goal_board_and_blank():
     g = goal_board(3, 3)
     assert g.tiles == tuple(range(9))
     assert g.blank_index == 0
-    assert g.is_goal()
-    assert manhattan(g) == 0
-    assert "1" in str(g) and "." in str(g)
+    problem = TilePuzzle(g)
+    assert problem.is_goal(g.tiles)
+    assert problem.manhattan(g.tiles) == 0
+
+
+def _manhattan(board):
+    return TilePuzzle(board).manhattan(board.tiles)
 
 
 def test_manhattan_known_values():
     # blank swapped with tile 1: tile 1 sits on cell 0, one step from home
-    assert manhattan(TileBoard(3, 3, (1, 0, 2, 3, 4, 5, 6, 7, 8))) == 1
+    assert _manhattan(TileBoard(3, 3, (1, 0, 2, 3, 4, 5, 6, 7, 8))) == 1
     # tile 8 in the top-left corner is 4 moves from its corner
-    assert manhattan(TileBoard(3, 3, (8, 1, 2, 3, 4, 5, 6, 7, 0))) == 4
+    assert _manhattan(TileBoard(3, 3, (8, 1, 2, 3, 4, 5, 6, 7, 0))) == 4
 
 
 def test_manhattan_matches_naive_formula():
@@ -57,7 +60,7 @@ def test_manhattan_matches_naive_formula():
             if tile == 0:
                 continue
             naive += abs(cell % 3 - tile % 3) + abs(cell // 3 - tile // 3)
-        assert manhattan(board) == naive == TilePuzzle(board).manhattan(board.tiles)
+        assert _manhattan(board) == naive
 
 
 def test_manhattan_admissible_and_consistent():
@@ -110,7 +113,7 @@ def test_random_solvable_is_solvable_and_not_goal():
     for _ in range(50):
         board = random_solvable(3, 3, rng)
         assert is_solvable(board)
-        assert not board.is_goal()
+        assert not TilePuzzle(board).is_goal(board.tiles)
         seen.add(board.tiles)
     assert len(seen) > 40  # effectively always distinct
 
@@ -135,7 +138,7 @@ def _write(tmp_path, text):
 def test_load_korf_parses_and_skips_comments(tmp_path):
     moved = "2 4 1 2 3 0 5 6 7 8 9 10 11 12 13 14 15"
     path = _write(tmp_path, f"# benchmark set\n\n{GOOD_LINE}\n{moved}\n")
-    instances = load_korf(path, expected_count=2)
+    instances = load_korf(path)
     assert [i.instance_id for i in instances] == [1, 2]
     assert instances[0].start == goal_board(4, 4)
     assert instances[1].start.blank_index == 4
@@ -144,31 +147,32 @@ def test_load_korf_parses_and_skips_comments(tmp_path):
 def test_load_korf_rejects_wrong_field_count(tmp_path):
     path = _write(tmp_path, GOOD_LINE + " 99\n")
     with pytest.raises(KorfFormatError, match="line 1"):
-        load_korf(path, expected_count=None)
+        load_korf(path)
 
 
 def test_load_korf_rejects_non_integer(tmp_path):
     path = _write(tmp_path, GOOD_LINE.replace("15", "x") + "\n")
     with pytest.raises(KorfFormatError, match="line 1"):
-        load_korf(path, expected_count=None)
+        load_korf(path)
 
 
 def test_load_korf_rejects_bad_permutation(tmp_path):
     path = _write(tmp_path, "1 " + " ".join(["0"] * 16) + "\n")
     with pytest.raises(KorfFormatError, match="line 1"):
-        load_korf(path, expected_count=None)
+        load_korf(path)
 
 
 def test_load_korf_rejects_unsolvable(tmp_path):
     swapped = "1 0 2 1 " + " ".join(str(t) for t in range(3, 16))
     path = _write(tmp_path, f"{GOOD_LINE}\n{swapped}\n")
     with pytest.raises(KorfFormatError, match="line 2"):
-        load_korf(path, expected_count=None)
-
-
-def test_load_korf_enforces_expected_count(tmp_path):
-    path = _write(tmp_path, GOOD_LINE + "\n")
-    with pytest.raises(KorfFormatError, match="expected 100"):
         load_korf(path)
-    assert len(load_korf(path, expected_count=1)) == 1
-    assert len(load_korf(path, expected_count=None)) == 1
+
+
+def test_load_korf_rejects_repeated_index(tmp_path):
+    # two boards numbered 7 would share one seed per configuration and fold
+    goal = "7 " + " ".join(str(t) for t in range(16))
+    moved = "7 4 1 2 3 0 5 6 7 8 9 10 11 12 13 14 15"
+    path = _write(tmp_path, f"{goal}\n\n{moved}\n")
+    with pytest.raises(KorfFormatError, match="line 3: instance index 7 repeats line 1"):
+        load_korf(path)
