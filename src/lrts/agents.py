@@ -57,7 +57,8 @@ GAMMA_ALGORITHMS = frozenset({Algorithm.GTRAP_BT, Algorithm.GTRAP})
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Everything that parameterizes one agent run."""
+    """Everything that parameterizes one agent run. gamma and epsilon are
+    stored as floats, so an int and the equal float tag (and seed) alike."""
 
     algorithm: Algorithm
     d_max: int = 1
@@ -66,6 +67,8 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.d_max < 1:
             raise ValueError(f"lookahead d_max must be >= 1, got {self.d_max}")
         if not 0 < self.gamma <= 1:

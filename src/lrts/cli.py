@@ -5,12 +5,14 @@ agent runs (optionally across worker processes), ground-truth lookup,
 aggregation, CSV and SVG emission, and a JSON manifest capturing every
 knob that influenced the run.
 
-This module parses: it turns flags and config-file text into typed values
-and passes on only the keys that were given. ExperimentConfig holds the
-defaults, validates the result and expands its algorithm x gamma x
-epsilon x lookahead grid; the manifest is written from its fields. Two
-defaults depend on another key and are set here: first-trial adds rta to
-the default algorithms, and puzzle15 runs one fold.
+This module parses: one table, _KEYS, gives each config key its
+ExperimentConfig field, the converter of its text and the options of its
+flag. The table builds the flags, and one converter reads a key's text
+whether it came from a flag or from a config-file line; only the keys
+that were given are passed on. ExperimentConfig holds every default,
+settles the form of every value, validates the result and expands its
+algorithm x gamma x epsilon x lookahead grid; the manifest is written from
+its fields.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .agents import Algorithm
@@ -85,26 +87,48 @@ class RunManifest:
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_list(text: str, what: str, convert: type = float) -> Tuple:
-    """Comma-separated numbers; convert is float or int."""
-    noun = "a number" if convert is float else "an integer"
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(convert(tok))
-        except ValueError:
-            raise ConfigError(f"{what}: {tok!r} is not {noun}") from None
-    if not out:
-        raise ConfigError(f"{what}: no values given")
-    return tuple(out)
+def _list(convert: Callable[[str], object]) -> Callable[[str], Tuple]:
+    """A converter of comma-separated text; empty items are skipped."""
+    return lambda text: tuple(convert(t) for t in text.split(",") if t.strip())
+
+
+# config key -> (ExperimentConfig field, converter of the key's text, options
+# of its flag --key). The same converter reads a flag and a config-file line;
+# ExperimentConfig holds the defaults and validates names and ranges.
+_KEYS: Dict[str, Tuple[str, Callable[[str], object], Dict[str, object]]] = {
+    "experiment": ("experiment", str, {"help": "required; one of: " + ", ".join(EXPERIMENTS)}),
+    "domain": ("domain", str, {"help": f"one of: {', '.join(DOMAINS)}; "
+                                       f"default {ExperimentConfig.domain}"}),
+    "algorithms": ("algorithms", _list(str.strip),
+                   {"help": "comma list: " + ",".join(a.value for a in Algorithm)}),
+    "gamma": ("gammas", _list(float), {
+        "help": "comma list of discounts in (0,1], default "
+                + ",".join(map(str, ExperimentConfig.gammas))}),
+    "epsilon": ("epsilons", _list(float), {
+        "help": "comma list of table weights - 1, default "
+                + ",".join(map(str, ExperimentConfig.epsilons))}),
+    "lookahead": ("lookaheads", _list(int), {
+        "action": "append", "help": "lookahead depth(s); repeatable or comma-separated"}),
+    "folds": ("folds", int, {}),
+    "instances": ("instances", int, {}),
+    "seed": ("master_seed", int, {"help": f"master seed, default {ExperimentConfig.master_seed}"}),
+    "move-limit": ("move_limit", int, {}),
+    "memory-limit": ("memory_limit", int, {}),
+    "korf-file": ("korf_path", str,
+                  {"help": "15-puzzle instance file (index + 16 tiles per line)"}),
+    "out-dir": ("out_dir", str, {"help": f"output directory (default ${OUT_DIR_ENV} "
+                                         f"or ./{ExperimentConfig.out_dir})"}),
+    "jobs": ("jobs", int, {"help": f"worker processes, default {ExperimentConfig.jobs}"}),
+    "ida-budget": ("ida_budget", int,
+                   {"help": "node budget for 15-puzzle ground-truth search; 0 disables"}),
+}
 
 
 def read_config_file(path: str) -> Dict[str, str]:
-    """key=value lines; blank lines and '#' comments are skipped."""
+    """key=value lines, each key of _KEYS at most once; blank lines and '#'
+    comments are skipped."""
     values: Dict[str, str] = {}
+    lines: Dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -114,17 +138,16 @@ def read_config_file(path: str) -> Dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: {key} repeats line {lines[key]}")
+                lines[key] = lineno
+                values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return values
-
-
-_CONFIG_KEYS = (
-    "experiment", "domain", "algorithms", "gamma", "epsilon", "lookahead",
-    "folds", "instances", "seed", "move-limit", "memory-limit", "korf-file",
-    "out-dir", "jobs", "ida-budget",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,100 +155,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lrts",
         description="Learning real-time search benchmarks on sliding-tile puzzles.",
     )
-    p.add_argument("--experiment", choices=EXPERIMENTS)
-    p.add_argument("--domain", choices=sorted(DOMAINS))
-    p.add_argument("--algorithms", help="comma list: gtrap-bt,gtrap,lrta,rta,ilrta")
-    p.add_argument("--gamma", help="comma list of discounts in (0,1], default "
-                   + ",".join(map(str, ExperimentConfig.gammas)))
-    p.add_argument("--epsilon", help="comma list of table weights - 1, default "
-                   + ",".join(map(str, ExperimentConfig.epsilons)))
-    p.add_argument("--lookahead", action="append",
-                   help="lookahead depth(s); repeatable or comma-separated")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--seed", type=int, help="master seed, default 0")
-    p.add_argument("--move-limit", type=int)
-    p.add_argument("--memory-limit", type=int)
-    p.add_argument("--korf-file", help="15-puzzle instance file (index + 16 tiles per line)")
-    p.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or ./lrts-out)")
-    p.add_argument("--jobs", type=int, help="worker processes, default 1")
-    p.add_argument("--ida-budget", type=int,
-                   help="node budget for 15-puzzle ground-truth search; 0 disables")
-    p.add_argument("--config", help="key=value file; explicit flags win")
+    for key, (_, _, options) in _KEYS.items():
+        p.add_argument(f"--{key}", **options)
+    p.add_argument("--config", help="key=value file with the keys above; explicit flags win")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return p
-
-
-# config key -> ExperimentConfig field, for the keys that hold one integer
-_INT_KEYS = {
-    "folds": "folds", "instances": "instances", "seed": "master_seed",
-    "move-limit": "move_limit", "memory-limit": "memory_limit", "jobs": "jobs",
-    "ida-budget": "ida_budget",
-}
 
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Merge config file and flags (flags strongest) into an
     ExperimentConfig, which fills in the defaults and validates. Raises
-    ConfigError on semantic problems, whether found while parsing (a
-    malformed number, an unknown key or algorithm) or by ExperimentConfig;
-    argparse handles malformed flags with a usage message and exit 2.
+    ConfigError on semantic problems, whether found while reading (a
+    malformed number, an unknown or repeated key) or by ExperimentConfig;
+    argparse handles an unknown flag with a usage message and exit 2.
     """
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    texts = read_config_file(args["config"]) if args["config"] else {}
+    for key in _KEYS:
+        given = args[key.replace("-", "_")]
+        if given is not None:
+            texts[key] = ",".join(given) if isinstance(given, list) else given
 
-    merged: Dict[str, str] = {}
-    if args.config:
-        file_values = read_config_file(args.config)
-        for key in file_values:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-        merged.update(file_values)
-
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key.replace("-", "_"))
-        if key == "lookahead" and value:
-            value = ",".join(value)
-        if value is not None:
-            merged[key] = value
-
-    experiment = merged.get("experiment")
-    if not experiment:
-        raise ConfigError("--experiment is required "
-                          f"(one of: {', '.join(EXPERIMENTS)})")
-    kwargs: Dict[str, object] = {"experiment": experiment}
-    if "domain" in merged:
-        kwargs["domain"] = merged["domain"]
-
-    if "algorithms" in merged:
-        valid = {a.value: a for a in Algorithm}
-        algorithms = []
-        for name in filter(None, (t.strip() for t in merged["algorithms"].split(","))):
-            if name not in valid:
-                raise ConfigError(
-                    f"unknown algorithm {name!r} (valid: {', '.join(sorted(valid))})"
-                )
-            algorithms.append(valid[name])
-        kwargs["algorithms"] = tuple(algorithms)
-    elif experiment == "first-trial":
-        # the field's default algorithms, plus rta, which only runs here
-        kwargs["algorithms"] = ExperimentConfig.algorithms + (Algorithm.RTA,)
-    for key, name, convert in (("gamma", "gammas", float), ("epsilon", "epsilons", float),
-                               ("lookahead", "lookaheads", int)):
-        if key in merged:
-            kwargs[name] = _parse_list(merged[key], key, convert)
-    for key, name in _INT_KEYS.items():
-        if key in merged:
-            try:
-                kwargs[name] = int(merged[key])
-            except ValueError:
-                raise ConfigError(f"{key}: {merged[key]!r} is not an integer") from None
-    if kwargs.get("domain") == "puzzle15" and "folds" not in kwargs:
-        kwargs["folds"] = 1
-    if merged.get("korf-file"):
-        kwargs["korf_path"] = merged["korf-file"]
-    out_dir = merged.get("out-dir") or os.environ.get(OUT_DIR_ENV)
-    if out_dir:
-        kwargs["out_dir"] = out_dir
+    env_out_dir = os.environ.get(OUT_DIR_ENV)
+    kwargs: Dict[str, object] = {"out_dir": env_out_dir} if env_out_dir else {}
+    for key, text in texts.items():
+        name, convert, _ = _KEYS[key]
+        try:
+            kwargs[name] = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(f"{f.name} is required (see --help)")
 
     try:
         return ExperimentConfig(**kwargs)

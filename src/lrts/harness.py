@@ -44,6 +44,7 @@ DOMAINS = {"puzzle8": (3, 3), "puzzle15": (4, 4)}
 
 DEFAULT_MOVE_LIMIT = 500_000
 DEFAULT_MEMORY_LIMIT = 4_000_000
+DEFAULT_ALGORITHMS = (Algorithm.GTRAP_BT, Algorithm.GTRAP, Algorithm.LRTA, Algorithm.ILRTA)
 DEFAULT_GAMMAS = (0.2, 0.5, 1.0)
 DEFAULT_EPSILONS = (0.2, 0.5)
 DEFAULT_LOOKAHEADS = (1, 2, 5, 10, 15)
@@ -82,15 +83,26 @@ class TrialRecord:
 
 @dataclass
 class ConvergenceRecord:
-    """One run's outcome; a first-trial run records its single trial with
-    converged_at and convergence_cost None."""
+    """One run's outcome; a first-trial run records its single trial and
+    never converges."""
 
     trials: List[TrialRecord]
-    converged_at: Optional[int]        # 1-based trial number, None when not converged
-    convergence_cost: Optional[float]  # travel summed over all recorded trials
-    final_cost: float                  # cost of the last recorded trial
+    converged_at: Optional[int]  # 1-based trial number, None when not converged
     stored_values: int
-    limit_hit: Optional[str]           # None | "MOVES" | "MEMORY"
+    limit_hit: Optional[str]     # None | "MOVES" | "MEMORY"
+
+    @property
+    def convergence_cost(self) -> Optional[float]:
+        """Travel summed over trials 1..converged_at; None unless the run
+        converged."""
+        if self.converged_at is None:
+            return None
+        return sum(t.solution_cost for t in self.trials)
+
+    @property
+    def final_cost(self) -> float:
+        """Cost of the last recorded trial."""
+        return self.trials[-1].solution_cost
 
 
 @dataclass
@@ -122,16 +134,18 @@ class ExperimentConfig:
     """One experiment's whole configuration, validated on construction.
     algorithms x gammas x epsilons x lookaheads is the grid of agent
     configurations; each gamma and epsilon is checked by AgentConfig's
-    rules whether or not a listed algorithm takes it."""
+    rules whether or not a listed algorithm takes it. Algorithm names become
+    Algorithm members, and gammas and epsilons floats. By default first-trial
+    adds rta to the algorithms, and puzzle15, whose folds share the file's
+    instances, runs one fold."""
 
     experiment: str
     domain: str = "puzzle8"
-    algorithms: Tuple[Algorithm, ...] = (
-        Algorithm.GTRAP_BT, Algorithm.GTRAP, Algorithm.LRTA, Algorithm.ILRTA)
+    algorithms: Optional[Tuple[Algorithm, ...]] = None
     gammas: Tuple[float, ...] = DEFAULT_GAMMAS
     epsilons: Tuple[float, ...] = DEFAULT_EPSILONS
     lookaheads: Tuple[int, ...] = DEFAULT_LOOKAHEADS
-    folds: int = 10
+    folds: Optional[int] = None
     instances: int = 100
     master_seed: int = 0
     move_limit: int = DEFAULT_MOVE_LIMIT
@@ -148,6 +162,19 @@ class ExperimentConfig:
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r} "
                              f"(one of: {', '.join(DOMAINS)})")
+        settle = partial(object.__setattr__, self)
+        if self.algorithms is None:
+            rta = (Algorithm.RTA,) if self.experiment == "first-trial" else ()
+            settle("algorithms", DEFAULT_ALGORITHMS + rta)
+        try:
+            settle("algorithms", tuple(map(Algorithm, self.algorithms)))
+        except ValueError as exc:
+            raise ValueError(f"algorithms: {exc} "
+                             f"(valid: {', '.join(a.value for a in Algorithm)})") from None
+        settle("gammas", tuple(map(float, self.gammas)))
+        settle("epsilons", tuple(map(float, self.epsilons)))
+        if self.folds is None:
+            settle("folds", 1 if self.domain == "puzzle15" else 10)
         for name in ("algorithms", "gammas", "epsilons", "lookaheads"):
             values = getattr(self, name)
             if not values:
@@ -166,6 +193,8 @@ class ExperimentConfig:
                 raise ValueError(f"korf_path not found: {self.korf_path}")
         elif self.korf_path is not None:
             raise ValueError(f"korf_path is only read on puzzle15, got {self.korf_path}")
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
         if Algorithm.RTA in self.algorithms and self.experiment != "first-trial":
             raise ValueError(
                 "algorithm rta keeps no table across trials and only runs "
@@ -257,32 +286,19 @@ def run_until_convergence(agent: AgentState, problem: SearchProblem,
 
     A trial that hits the move limit aborts the run (converged_at None,
     limit_hit "MOVES"). The stored-value count is checked between trials;
-    crossing memory_limit aborts with limit_hit "MEMORY". convergence_cost
-    sums travel over all recorded trials, the convergence trial included.
+    crossing memory_limit aborts with limit_hit "MEMORY".
     """
     trials: List[TrialRecord] = []
-    converged_at: Optional[int] = None
-    limit_hit: Optional[str] = None
     while True:
         rec = run_trial(agent, problem, cfg, move_limit=move_limit)
         trials.append(rec)
+        stored = agent.table.stored_count
         if rec.hit_move_limit:
-            limit_hit = "MOVES"
-            break
+            return ConvergenceRecord(trials, None, stored, "MOVES")
         if rec.h_updates == 0:
-            converged_at = len(trials)
-            break
-        if agent.table.stored_count > memory_limit:
-            limit_hit = "MEMORY"
-            break
-    return ConvergenceRecord(
-        trials=trials,
-        converged_at=converged_at,
-        convergence_cost=sum(r.solution_cost for r in trials),
-        final_cost=trials[-1].solution_cost,
-        stored_values=agent.table.stored_count,
-        limit_hit=limit_hit,
-    )
+            return ConvergenceRecord(trials, len(trials), stored, None)
+        if stored > memory_limit:
+            return ConvergenceRecord(trials, None, stored, "MEMORY")
 
 
 def stability(costs: Sequence[float], n_converged: int, h_star: float) -> StabilityIndices:
@@ -329,14 +345,8 @@ def _run_task(config: ExperimentConfig, task: TaskSpec) -> ConvergenceRecord:
     agent = make_agent(problem, cfg, base=problem.manhattan)
     if config.experiment == "first-trial":
         rec = run_trial(agent, problem, cfg, move_limit=config.move_limit)
-        return ConvergenceRecord(
-            trials=[rec],
-            converged_at=None,
-            convergence_cost=None,
-            final_cost=rec.solution_cost,
-            stored_values=agent.table.stored_count,
-            limit_hit="MOVES" if rec.hit_move_limit else None,
-        )
+        return ConvergenceRecord([rec], None, agent.table.stored_count,
+                                 "MOVES" if rec.hit_move_limit else None)
     return run_until_convergence(
         agent, problem, cfg,
         move_limit=config.move_limit, memory_limit=config.memory_limit,

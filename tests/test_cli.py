@@ -51,6 +51,8 @@ def test_defaults():
 def test_first_trial_default_includes_rta():
     config = parse_config(["--experiment", "first-trial"])
     assert "rta" in [a.value for a in config.algorithms]
+    # the default is ExperimentConfig's, so a config built in Python agrees
+    assert config == ExperimentConfig(experiment="first-trial")
 
 
 def test_experiment_is_required():
@@ -91,6 +93,10 @@ def test_config_file_errors(tmp_path):
     unknown.write_text("depth = 3\n")
     with pytest.raises(ConfigError):
         parse_config(["--experiment", "convergence", "--config", str(unknown)])
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("gamma = 0.2\n# the second value would win\ngamma = 0.5\n")
+    with pytest.raises(ConfigError, match=r"repeated\.cfg:3: gamma repeats line 1"):
+        parse_config(["--experiment", "convergence", "--config", str(repeated)])
 
 
 _CONV = ["--experiment", "convergence"]
@@ -125,36 +131,35 @@ _REJECTED = [
     (_CONV + ["--gamma", "0.5,0.5"], "gamma"),
     (_CONV + ["--epsilon", "0.2,0.2"], "epsilon"),
     (_CONV + ["--lookahead", "1,1"], "lookahead"),
+    # argparse only splits argv: a malformed number or an unknown name
+    # reaches the same converter and validator as a config-file line
+    (_CONV + ["--folds", "x"], "folds"),
+    (["--experiment", "warmup"], "experiment"),
+    (_CONV + ["--domain", "chess"], "domain"),
+    (_CONV + ["--out-dir", ""], "out_dir"),
 ]
 
 
-@pytest.mark.parametrize("argv,key", [
-    pytest.param(argv, key, id=f"argv{i}") for i, (argv, key) in enumerate(_REJECTED)
+@pytest.mark.parametrize("argv,key,route", [
+    pytest.param(argv, key, route, id=f"{prefix}{i}")
+    for i, (argv, key) in enumerate(_REJECTED)
+    for route, prefix in (("flags", "argv"), ("file", "file"))
 ])
-def test_rejected_configurations(argv, key):
+def test_rejected_configurations(tmp_path, argv, key, route):
+    """Each case is rejected alike as flags and as config-file lines."""
+    if route == "file":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:]} = {value}\n"
+                               for flag, value in zip(argv[::2], argv[1::2])))
+        argv = ["--config", str(cfg)]
     with pytest.raises(ConfigError, match=key):
         parse_config(argv)
 
 
-@pytest.mark.parametrize("text,key", [
-    ("experiment = warmup\n", "experiment"),
-    ("experiment = convergence\ndomain = chess\n", "domain"),
-    ("experiment = convergence\nlookahead = 0\n", "lookahead"),
-], ids=["experiment", "domain", "lookahead"])
-def test_rejected_config_file_values(tmp_path, text, key):
-    """Values argparse's choices never see, because they come from a file."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    with pytest.raises(ConfigError, match=key):
-        parse_config(["--config", str(cfg)])
-
-
 def test_malformed_flags_exit_via_argparse():
     with pytest.raises(SystemExit) as exc:
-        parse_config(["--experiment", "convergence", "--folds", "x"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit):
         parse_config(["--no-such-flag"])
+    assert exc.value.code == 2
 
 
 def test_version_flag(capsys):
@@ -183,6 +188,8 @@ def test_puzzle15_defaults_to_one_fold(tmp_path):
                            "--ida-budget", "0"])
     assert config.folds == 1
     assert config.ida_budget == 0
+    assert config == ExperimentConfig(experiment="convergence", domain="puzzle15",
+                                      korf_path=str(korf), instances=1, ida_budget=0)
 
 
 _SMOKE = ["--experiment", "convergence", "--algorithms", "gtrap-bt",
@@ -297,6 +304,25 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
 def test_main_config_error_exit(tmp_path, capsys):
     assert main(["--experiment", "convergence", "--gamma", "2"]) == 2
     assert "gamma" in capsys.readouterr().err
+    assert main(["--experiment", "convergence", "--folds", "x"]) == 2
+    assert "folds" in capsys.readouterr().err
+
+
+def test_unconverged_runs_report_no_convergence_cost(tmp_path):
+    """A run cut off by the move limit has no convergence trial, so it has
+    no convergence cost, and the summary has no mean of one."""
+    assert main(["--experiment", "convergence", "--algorithms", "lrta",
+                 "--lookahead", "1", "--folds", "1", "--instances", "3", "--seed", "5",
+                 "--move-limit", "40", "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "runs_convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["limit_hit"], r["converged_at"], r["convergence_cost"]) for r in rows] == [
+        ("MOVES", "", "")] * 3
+    assert all(r["final_cost"] == "40" for r in rows)
+    with open(tmp_path / "summary_convergence.csv", newline="") as fh:
+        (summary,) = csv.DictReader(fh)
+    assert summary["converged_mean"] == "0.0"
+    assert summary["mean_convergence_cost"] == summary["std_convergence_cost"] == ""
 
 
 def test_main_reports_bad_instance_file(tmp_path, capsys):

@@ -79,6 +79,7 @@ def test_run_until_convergence_move_limit_abort():
     rec = run_until_convergence(agent, line, cfg, move_limit=3)
     assert rec.limit_hit == "MOVES" and rec.converged_at is None
     assert len(rec.trials) == 1 and rec.trials[0].hit_move_limit
+    assert rec.convergence_cost is None and rec.final_cost == 3
 
 
 def test_run_until_convergence_memory_abort():
@@ -292,6 +293,17 @@ def test_parallel_rows_match_sequential():
     seq = run_experiment(_p8_config())
     par = run_experiment(_p8_config(jobs=2))
     assert seq == par
+
+
+def test_int_gamma_and_epsilon_run_as_the_equal_float():
+    """Run seeds come from the agent tag, which spells gamma and epsilon as
+    stored, so an int must run exactly as the equal float."""
+    grid = dict(algorithms=(Algorithm.GTRAP_BT, Algorithm.ILRTA), folds=1)
+    as_int, _ = run_experiment(_p8_config(gammas=(1,), epsilons=(1,), **grid))
+    as_float, _ = run_experiment(_p8_config(gammas=(1.0,), epsilons=(1.0,), **grid))
+    assert as_int == as_float
+    assert {type(r[c]) for r in as_int for c in ("param_gamma", "param_epsilon")} == {
+        float, type(None)}
 
 
 def test_task_spec_holds_only_what_varies_per_run():
