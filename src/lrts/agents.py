@@ -2,8 +2,8 @@
 
 Five agents share one interface: a policy call inspects the neighborhood of
 the current state, possibly rewrites the learned heuristic there, and
-returns the action sequence to execute (possibly empty). The harness
-applies the actions and calls again until the goal is reached. Every
+returns the action sequence to execute, never empty. The harness applies
+the actions and calls again until the goal is reached. Every
 policy expands through core.iter_layers and scores through core's
 scorers; at lookahead 1, gtrap, lrta and ilrta score the successors
 directly with the one depth-1 scorer, core._score_successors.
@@ -14,9 +14,10 @@ staying put, i.e. no s' satisfies gamma * dist(s, s') + h(s') <= h(s).
 The first untrapped depth supplies the move and nothing is learned; if all
 depths up to d_max are trapped, h(current) is raised to the largest of the
 per-depth best scores and the agent retreats (gtrap-bt) or pushes on to the
-best member seen (gtrap). Discounting the travel term by gamma <= 1 makes
-escapes cheaper to accept and caps the converged solution cost at
-h_opt(start) / gamma for unit-cost domains.
+best member seen (gtrap). At the start state gtrap-bt has nowhere to
+retreat, so it takes the depth-1 escape that the raise opened. Discounting
+the travel term by gamma <= 1 makes escapes cheaper to accept and caps the
+converged solution cost at h_opt(start) / gamma for unit-cost domains.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .core import (
     DomainViolation,
@@ -51,8 +52,10 @@ class Algorithm(str, Enum):
     ILRTA = "ilrta"
 
 
-# The algorithms whose policy reads gamma; only ilrta reads epsilon.
-GAMMA_ALGORITHMS = frozenset({Algorithm.GTRAP_BT, Algorithm.GTRAP})
+# The one parameter each algorithm's policy reads besides the lookahead;
+# an algorithm not listed reads neither gamma nor epsilon.
+PARAMETER = {Algorithm.GTRAP_BT: "gamma", Algorithm.GTRAP: "gamma",
+             Algorithm.ILRTA: "epsilon"}
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,19 @@ class AgentConfig:
     def __post_init__(self):
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "epsilon", float(self.epsilon))
+        if isinstance(self.d_max, bool) or not isinstance(self.d_max, int):
+            raise ValueError(f"lookahead d_max must be an int, got {self.d_max!r}")
         if self.d_max < 1:
             raise ValueError(f"lookahead d_max must be >= 1, got {self.d_max}")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.gamma != 1 and self.algorithm not in GAMMA_ALGORITHMS:
-            raise ValueError(f"algorithm {self.algorithm.value} takes no gamma, "
-                             f"got {self.gamma}")
-        if self.epsilon != 0 and self.algorithm is not Algorithm.ILRTA:
-            raise ValueError(f"algorithm {self.algorithm.value} takes no epsilon, "
-                             f"got {self.epsilon}")
+        for name, unread in (("gamma", 1), ("epsilon", 0)):
+            value = getattr(self, name)
+            if value != unread and PARAMETER.get(self.algorithm) != name:
+                raise ValueError(f"algorithm {self.algorithm.value} takes no {name}, "
+                                 f"got {value}")
 
     def tag(self) -> str:
         """Stable identity string; feeds the per-run seed derivation."""
@@ -135,8 +139,8 @@ def _gamma_trap_step(agent: AgentState, problem: SearchProblem,
     to d_max is trapped does learning happen: h(current) is raised to the
     max over depths of each depth's best score, a strict increase and the
     only write this policy makes. gtrap-bt then retreats to where the
-    previous forward move started (no move when already at the start
-    state); gtrap moves to the overall best member.
+    previous forward move started, or, at the start state, takes the
+    depth-1 escape the raise opened; gtrap moves to the overall best member.
     """
     s = agent.current
     table = agent.table
@@ -158,27 +162,26 @@ def _gamma_trap_step(agent: AgentState, problem: SearchProblem,
             raise DomainViolation(f"state {s!r} has no neighbors")
 
     best, ties = per_depth[-1]
-    if best <= hs:
-        acts = _pick(ties, agent.rng)
-        if backtracking:
-            agent.trail.append(acts)
-        return list(acts)
-
-    # every expanded depth was trapped
-    new_h = max(v for v, _ in per_depth)
-    assert new_h > hs, "trapped everywhere yet no strict increase"
-    table.write(s, new_h)
-
+    if best > hs:
+        # every expanded depth was trapped
+        new_h = max(v for v, _ in per_depth)
+        assert new_h > hs, "trapped everywhere yet no strict increase"
+        table.write(s, new_h)
+        if not backtracking:
+            overall = min(v for v, _ in per_depth)
+            pool = [m for v, t in per_depth if v == overall for m in t]
+            return list(_pick(pool, agent.rng))
+        if s != problem.initial_state:
+            forward = agent.trail.pop()
+            return [problem.invert(a) for a in reversed(forward)]
+        # Nowhere to retreat. The raise changed only h(s), which none of s's
+        # own layers holds, so depth 1 scores as above and is now within
+        # h(s): take that escape, as a fresh call would.
+        ties = per_depth[0][1]
+    acts = _pick(ties, agent.rng)
     if backtracking:
-        if s == problem.initial_state:
-            # Nowhere to retreat; the raise above unblocks the next call.
-            return []
-        forward = agent.trail.pop()
-        return [problem.invert(a) for a in reversed(forward)]
-
-    overall = min(v for v, _ in per_depth)
-    pool = [m for v, t in per_depth if v == overall for m in t]
-    return list(_pick(pool, agent.rng))
+        agent.trail.append(acts)
+    return list(acts)
 
 
 def _lrta_step(agent: AgentState, problem: SearchProblem,
@@ -271,30 +274,19 @@ def _rta_step(agent: AgentState, problem: SearchProblem,
         raise DomainViolation(f"state {s!r} has no neighbors")
 
     blocked = frozenset((s,))
-    deep = cfg.d_max > 1
     scores: List[float] = []
-    best = None
-    ties: list = []
     for a, nxt, c in succ:
         inner = lookup(nxt)  # the ball's center, at distance 0
-        if deep:
-            for layer in iter_layers(problem, nxt, cfg.d_max - 1, blocked=blocked):
-                v, _ = _score_layer(layer, lookup, 1)
-                if v < inner:
-                    inner = v
-        score = c + inner
-        scores.append(score)
-        if best is None or score < best:
-            best = score
-            ties = [a]
-        elif score == best:
-            ties.append(a)
+        if cfg.d_max > 1:
+            v, _ = _score_layer(chain.from_iterable(
+                iter_layers(problem, nxt, cfg.d_max - 1, blocked=blocked)), lookup, 1)
+            if v is not None and v < inner:
+                inner = v
+        scores.append(c + inner)
 
-    if len(scores) >= 2:
-        second = sorted(scores)[1]
-    else:
-        second = RTA_INFINITY
-    table.write(s, second)
+    best = min(scores)
+    ties = [a for (a, _, _), v in zip(succ, scores) if v == best]
+    table.write(s, sorted(scores)[1] if len(scores) >= 2 else RTA_INFINITY)
     return [_pick(ties, agent.rng)]
 
 

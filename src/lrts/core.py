@@ -30,9 +30,10 @@ class SearchProblem:
 
     Subclasses provide the initial state, the goal test, successor
     generation and action inversion. Contracts the agents rely on:
-    every successor cost is strictly positive, every action is reversible
-    (applying invert(a) in the successor leads back to the source), and at
-    least one goal is reachable from the initial state.
+    every successor cost is strictly positive, no action leads a state to
+    itself, every action is reversible (applying invert(a) in the successor
+    leads back to the source), and at least one goal is reachable from the
+    initial state.
     """
 
     initial_state: StateId

@@ -20,14 +20,14 @@ import random
 import statistics
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures  # multiprocessing loads with the first pool, not here
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .agents import (
-    GAMMA_ALGORITHMS,
+    PARAMETER,
     AgentConfig,
     AgentState,
     Algorithm,
@@ -35,7 +35,7 @@ from .agents import (
     make_agent,
     step,
 )
-from .core import DomainViolation, SearchProblem
+from .core import SearchProblem
 from .oracle import MAX_BFS_CELLS, full_bfs_distances, ida_star_optimal
 from .tiles import PuzzleInstance, TileBoard, TilePuzzle, load_korf, random_solvable
 
@@ -69,8 +69,6 @@ SUMMARY_COLUMNS = (
     "mean_itae", "std_itae", "mean_itse", "std_itse",
     "mean_sod", "std_sod",
 )
-
-_MAX_IDLE_CALLS = 1_000_000  # consecutive empty policy returns before giving up
 
 
 @dataclass
@@ -184,6 +182,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not repeat a value, got {shown}")
         for name, minimum in _MINIMUMS:
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
         if self.domain == "puzzle15":
@@ -213,12 +213,8 @@ class ExperimentConfig:
         every seed is 0 until build_tasks sets one per run."""
         out = []
         for alg in self.algorithms:
-            if alg in GAMMA_ALGORITHMS:
-                params = [{"gamma": g} for g in self.gammas]
-            elif alg is Algorithm.ILRTA:
-                params = [{"epsilon": e} for e in self.epsilons]
-            else:
-                params = [{}]
+            name = PARAMETER.get(alg)
+            params = [{name: v} for v in getattr(self, f"{name}s")] if name else [{}]
             out.extend(AgentConfig(alg, d_max=d, **p)
                        for p in params for d in self.lookaheads)
         return out
@@ -241,22 +237,12 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
     moves = 0
     cost: float = 0
     hit = False
-    idle = 0
     current = agent.current
     while not is_goal(current):
         if moves >= move_limit:
             hit = True
             break
-        acts = step(agent, problem, cfg)
-        if not acts:
-            idle += 1
-            if idle > _MAX_IDLE_CALLS:
-                raise DomainViolation(
-                    f"policy produced {_MAX_IDLE_CALLS} empty action lists in a row"
-                )
-            continue
-        idle = 0
-        for a in acts:
+        for a in step(agent, problem, cfg):
             current, c = apply(current, a)
             agent.current = current
             cost += c
@@ -418,11 +404,12 @@ def _assemble_row(config: ExperimentConfig, task: TaskSpec,
         costs = [t.solution_cost for t in record.trials]
         indices = stability(costs, record.converged_at, optimal)
     cfg = task.cfg
+    param = PARAMETER.get(cfg.algorithm)
     return {
         "experiment": config.experiment,
         "algorithm": cfg.algorithm.value,
-        "param_gamma": cfg.gamma if cfg.algorithm in GAMMA_ALGORITHMS else None,
-        "param_epsilon": cfg.epsilon if cfg.algorithm is Algorithm.ILRTA else None,
+        "param_gamma": cfg.gamma if param == "gamma" else None,
+        "param_epsilon": cfg.epsilon if param == "epsilon" else None,
         "lookahead": cfg.d_max,
         "fold": task.fold,
         "instance_id": task.instance_id,
@@ -472,7 +459,7 @@ def run_experiment(config: ExperimentConfig,
     if progress:
         progress(0, total)
     workers = min(config.jobs, total, os.cpu_count() or 1)
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+    pool = (futures.ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
             if workers > 1 else None)
     with pool or nullcontext():
         results = (pool.map(run, tasks, chunksize=max(1, total // (workers * 8)))

@@ -156,7 +156,9 @@ def check_writes_change_values(seed: int = 0, instances: int = 3) -> int:
 
 def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
     """Backtracking must retreat to exactly the state the previous forward
-    move departed from, tracked here by an independent stack."""
+    move departed from, tracked here by an independent stack. Trapped at
+    the start state, the call must instead take one step that passes the
+    trap test against the raised h(start), and push it as a forward move."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(instances):
@@ -172,15 +174,22 @@ def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
             before_writes = agent.table.writes
             origin = current
             acts = step(agent, problem, cfg)
+            cost = 0
             for a in acts:
-                current, _ = problem.apply(current, a)
+                current, c = problem.apply(current, a)
+                cost += c
             agent.current = current
             wrote = agent.table.writes > before_writes
             if not wrote:
                 assert acts, "an untrapped call must move"
                 history.append(origin)
             elif origin == problem.initial_state:
-                assert acts == [], "trapped at the start state must stay put"
+                assert len(acts) == 1, "trapped at the start state must take one step"
+                assert agent.trail[-1] == tuple(acts), "start escape not on the trail"
+                lookup = agent.table.lookup
+                assert cfg.gamma * cost + lookup(current) <= lookup(origin), \
+                    "start escape fails the trap test against the raised h"
+                history.append(origin)
             else:
                 assert acts, "trapped away from the start must retreat"
                 assert history, "retreat with no forward move on record"
@@ -193,26 +202,61 @@ def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
     return checked
 
 
+def check_every_call_moves(seed: int = 0, instances: int = 2,
+                           depths=(1, 2, 3), trials: int = 4) -> int:
+    """No policy call of any algorithm returns an empty action list. The
+    learning agents carry their table over a few trials, so gtrap-bt also
+    meets trapped start states; returns the number of calls checked."""
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(instances):
+        problem = TilePuzzle(random_solvable(3, 3, rng))
+        for algorithm in Algorithm:
+            for d_max in depths:
+                cfg = AgentConfig(algorithm, d_max=d_max, seed=checked)
+                agent = make_agent(problem, cfg, base=problem.manhattan)
+                for _ in range(1 if algorithm is Algorithm.RTA else trials):
+                    agent.current, agent.trail = problem.initial_state, []
+                    while not problem.is_goal(agent.current):
+                        acts = step(agent, problem, cfg)
+                        assert acts, f"{algorithm.value} d={d_max} returned no action"
+                        for a in acts:
+                            agent.current, _ = problem.apply(agent.current, a)
+                        checked += 1
+    return checked
+
+
 def check_trap_hand_traces() -> int:
     """Hand-verified chain traces covering the update rule (max over
-    per-depth minima), the stay-put case at the start state, the
-    double-step escape of the non-backtracking variant, and backtracking
-    to the previous state."""
+    per-depth minima), the same-call depth-1 escape at the start state,
+    the double-step escape of the non-backtracking variant, and
+    backtracking to the previous state."""
     checked = 0
 
     # Chain 0-1-2-3-4, goal 4, h = [2, 4, 2, 1, 0], gamma 1, d_max 2.
     # From 0: depth 1 best = 1+4 = 5, depth 2 best = 2+2 = 4; both exceed
-    # h(0)=2, so h(0) := max(5, 4) = 5 and the start state stays put.
+    # h(0)=2, so h(0) := max(5, 4) = 5. The start state has no trail to
+    # retreat along, and depth 1 now offers 1+4 = 5 <= 5: move right in the
+    # same call, with that one write.
     problem = LineProblem(5)
     h0 = {0: 2, 1: 4, 2: 2, 3: 1, 4: 0}
     cfg = AgentConfig(Algorithm.GTRAP_BT, d_max=2, gamma=1.0, seed=0)
     agent = make_agent(problem, cfg, base=h0.__getitem__)
-    assert step(agent, problem, cfg) == []
-    assert agent.table.lookup(0) == 5
-    # Next call: depth 1 offers 1+4 = 5 <= 5, so move right, no write.
     assert step(agent, problem, cfg) == [LineProblem.RIGHT]
-    assert agent.table.lookup(0) == 5 and agent.table.lookup(1) == 4
-    checked += 2
+    assert agent.table.overlay == {0: 5} and agent.table.writes == 1
+    assert agent.trail == [(LineProblem.RIGHT,)]
+    checked += 1
+
+    # The same at lookahead 1, discounted: h = [1, 3, ...], gamma 0.5. The
+    # only depth scores 0.5 + 3 = 3.5 > 1, so h(0) := 3.5, and that escape
+    # now passes the trap test (3.5 <= 3.5): one step right.
+    h3 = {0: 1, 1: 3, 2: 2, 3: 1, 4: 0}
+    cfg_1 = AgentConfig(Algorithm.GTRAP_BT, d_max=1, gamma=0.5, seed=0)
+    agent = make_agent(problem, cfg_1, base=h3.__getitem__)
+    assert step(agent, problem, cfg_1) == [LineProblem.RIGHT]
+    assert agent.table.overlay == {0: 3.5}
+    assert agent.trail == [(LineProblem.RIGHT,)]
+    checked += 1
 
     # Same table, non-backtracking variant: after the update it must move
     # to the overall best member, state 2 at depth 2 (score 4 < 5).

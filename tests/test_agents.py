@@ -4,7 +4,7 @@ from itertools import chain
 import pytest
 
 from lrts.agents import (
-    GAMMA_ALGORITHMS,
+    PARAMETER,
     RTA_INFINITY,
     AgentConfig,
     AgentState,
@@ -50,6 +50,10 @@ def test_config_validation():
     AgentConfig(Algorithm.GTRAP, d_max=1, gamma=1.0)
     with pytest.raises(ValueError):
         AgentConfig(Algorithm.GTRAP, d_max=0)
+    # a bool or a non-integral lookahead is not a depth
+    for d_max in (True, 2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="d_max must be an int"):
+            AgentConfig(Algorithm.GTRAP, d_max=d_max)
     with pytest.raises(ValueError):
         AgentConfig(Algorithm.GTRAP, gamma=0.0)
     with pytest.raises(ValueError):
@@ -164,7 +168,15 @@ def test_gamma_trap_matches_reference():
                     if algorithm is Algorithm.GTRAP:
                         assert dest in pool
                     else:
-                        assert acts == []  # fresh agent stands at the start
+                        # a fresh agent stands at the start, with nowhere to
+                        # retreat: it moves as a call on the raised table would
+                        kind, depth, best, winners = reference_trap_decision(
+                            problem, table.lookup, s, d_max, gamma)
+                        assert (kind, depth) == ("move", 1)
+                        assert len(acts) == 1 and dest in winners
+                        assert gamma + table.lookup(dest) == best
+                        assert agent.trail == [tuple(acts)]
+                    assert table.writes == 1
                     traps += 1
     assert moves > 50 and traps > 50
 
@@ -342,7 +354,7 @@ def test_policies_raise_on_isolated_state():
     g = GraphProblem(edges=[("a", "b")], initial="lonely", goals={"b"})
     h = {"lonely": 1, "a": 1, "b": 0}
     for algorithm in Algorithm:
-        gamma = 0.5 if algorithm in GAMMA_ALGORITHMS else 1.0
+        gamma = 0.5 if PARAMETER.get(algorithm) == "gamma" else 1.0
         cfg = AgentConfig(algorithm, d_max=2, gamma=gamma, seed=0)
         agent = make_agent(g, cfg, base=h.__getitem__)
         with pytest.raises(DomainViolation):

@@ -267,6 +267,15 @@ def test_experiment_config_validation():
         _p8_config(jobs=0)
     with pytest.raises(ValueError, match="ida_budget"):
         _p8_config(ida_budget=-1)
+    # a count must be an int: a bool would run under its own tag and seed,
+    # and a fraction would fail inside the run
+    for name, value in (("instances", 1.5), ("jobs", 1.5), ("master_seed", 0.5),
+                        ("folds", True), ("move_limit", 2.0), ("ida_budget", "0")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            _p8_config(**{name: value})
+    for lookahead in (True, 2.5):
+        with pytest.raises(ValueError, match="lookahead d_max must be an int"):
+            _p8_config(lookaheads=(lookahead,))
     # gamma and epsilon values are checked even where no listed algorithm
     # takes them
     with pytest.raises(ValueError, match="epsilon"):
@@ -338,7 +347,7 @@ def test_pool_has_at_most_one_worker_per_task_and_cpu(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr("lrts.harness.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     config = _p8_config(folds=1, instances=3)
     serial = run_experiment(config)
     assert sizes == []

@@ -2,6 +2,7 @@
 properties.py, so the whole discipline suite runs standalone."""
 
 from properties import (
+    check_every_call_moves,
     check_exact_depth_layers,
     check_manhattan_admissible_consistent,
     check_parity_matches_reachability,
@@ -38,3 +39,7 @@ def test_retreats_follow_the_trail_exactly():
 
 def test_trap_decisions_match_hand_traces():
     assert check_trap_hand_traces() > 0
+
+
+def test_every_policy_call_moves():
+    assert check_every_call_moves(seed=17) > 0
