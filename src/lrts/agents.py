@@ -3,10 +3,10 @@
 Five agents share one interface: a policy call inspects the neighborhood of
 the current state, possibly rewrites the learned heuristic there, and
 returns the action sequence to execute, never empty. The harness applies
-the actions and calls again until the goal is reached. Every
-policy expands through core.iter_layers and scores through core's
-scorers; at lookahead 1, gtrap, lrta and ilrta score the successors
-directly with the one depth-1 scorer, core._score_successors.
+the actions and calls again until the goal is reached. Every policy
+expands through core.iter_layers and scores through core's scorers; gtrap
+and lrta at lookahead 1, and ilrta at every lookahead, take their best
+score from the one depth-1 scorer, core._score_successors.
 
 The trap-driven pair (gtrap-bt, gtrap) deepens its lookahead adaptively:
 depth d is "trapped" when no state within d steps looks at least as good as
@@ -61,7 +61,7 @@ PARAMETER = {Algorithm.GTRAP_BT: "gamma", Algorithm.GTRAP: "gamma",
 @dataclass(frozen=True)
 class AgentConfig:
     """Everything that parameterizes one agent run. gamma and epsilon are
-    stored as floats, so an int and the equal float tag (and seed) alike."""
+    stored as floats (-0.0 as 0.0), so equal values tag (and seed) alike."""
 
     algorithm: Algorithm
     d_max: int = 1
@@ -70,8 +70,8 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "gamma", float(self.gamma) + 0.0)
+        object.__setattr__(self, "epsilon", float(self.epsilon) + 0.0)
         if isinstance(self.d_max, bool) or not isinstance(self.d_max, int):
             raise ValueError(f"lookahead d_max must be an int, got {self.d_max!r}")
         if self.d_max < 1:
@@ -192,7 +192,10 @@ def _lrta_step(agent: AgentState, problem: SearchProblem,
     (interior and frontier alike). h(current) is rewritten to the least
     dist + h among them whenever that differs from the stored value, and
     the agent moves one step along a cheapest path toward the best
-    candidate (ties seeded-random).
+    candidate (ties seeded-random). On a consistent base such as Manhattan
+    distance the least dist + h is at depth 1 and the backup keeps the
+    table consistent, so the lookahead changes which tied member the agent
+    heads for, not what it learns.
     """
     s = agent.current
     table = agent.table
@@ -216,37 +219,31 @@ def _lrta_step(agent: AgentState, problem: SearchProblem,
 
 def _ilrta_step(agent: AgentState, problem: SearchProblem,
                 cfg: AgentConfig) -> List[int]:
-    """Ball backup like lrta's plus three refinements: reads always go
-    through the (possibly inflated) table, every candidate's score is
-    lifted to max(dist + h, least parent score) seeded with h(current), and
-    writes are strictly upward: the lift keeps the backup value from
-    dropping below the stored one, and equality writes are skipped.
+    """Ball backup like lrta's, but reads go through the (possibly
+    inflated) table, each candidate scores max(dist + h, least parent
+    score) with h(current) as the origin's score, and writes are strictly
+    upward. This lift keeps each layer's least score at or above the
+    previous layer's, so the backup is the depth-1 value max(h(current),
+    least c + h) and deeper layers only add ties: a member ties exactly
+    when a parent ties and its own dist + h is at most the backup, so the
+    walk for ties stops at the first layer without one.
     """
     s = agent.current
     table = agent.table
     lookup = table.lookup
     hs = lookup(s)
 
-    if cfg.d_max == 1:
-        best, ties = _score_successors(problem, s, lookup, 1, hs)
-    else:
-        best = None
-        scores = [hs]  # lifted scores of the previous layer
+    best, ties = _score_successors(problem, s, lookup, 1, hs)
+    if cfg.d_max > 1:
+        ties, tied = [], {0}  # layer 1's one parent is the origin, position 0
         for layer in iter_layers(problem, s, cfg.d_max):
-            prev, scores = scores, []
-            for state, reach, acts, parents in layer:
-                f = reach + lookup(state)
-                pf = prev[parents[0]] if len(parents) == 1 else min([prev[i] for i in parents])
-                if pf > f:
-                    f = pf
-                scores.append(f)
-                if best is None or f < best:
-                    best = f
-                    ties = [acts]
-                elif f == best:
+            prev, tied = tied, set()
+            for i, (state, reach, acts, parents) in enumerate(layer):
+                if not prev.isdisjoint(parents) and reach + lookup(state) <= best:
+                    tied.add(i)
                     ties.append(acts)
-        if best is None:
-            raise DomainViolation(f"state {s!r} has no neighbors")
+            if not tied:
+                break
 
     assert best >= hs, "lifted scores cannot drop below the seed"
     if best != hs:

@@ -133,9 +133,9 @@ class ExperimentConfig:
     algorithms x gammas x epsilons x lookaheads is the grid of agent
     configurations; each gamma and epsilon is checked by AgentConfig's
     rules whether or not a listed algorithm takes it. Algorithm names become
-    Algorithm members, and gammas and epsilons floats. By default first-trial
-    adds rta to the algorithms, and puzzle15, whose folds share the file's
-    instances, runs one fold."""
+    Algorithm members, and gammas and epsilons floats (-0.0 as 0.0). By
+    default first-trial adds rta to the algorithms, and puzzle15, whose
+    folds share the file's instances, runs one fold."""
 
     experiment: str
     domain: str = "puzzle8"
@@ -169,8 +169,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"algorithms: {exc} "
                              f"(valid: {', '.join(a.value for a in Algorithm)})") from None
-        settle("gammas", tuple(map(float, self.gammas)))
-        settle("epsilons", tuple(map(float, self.epsilons)))
+        settle("gammas", tuple(float(v) + 0.0 for v in self.gammas))
+        settle("epsilons", tuple(float(v) + 0.0 for v in self.epsilons))
         if self.folds is None:
             settle("folds", 1 if self.domain == "puzzle15" else 10)
         for name in ("algorithms", "gammas", "epsilons", "lookaheads"):

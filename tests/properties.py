@@ -226,6 +226,38 @@ def check_every_call_moves(seed: int = 0, instances: int = 2,
     return checked
 
 
+def check_lrta_backup_is_depth_one(seed: int = 0, instances: int = 2,
+                                   depths=(2, 3, 5), trials: int = 10) -> int:
+    """On the consistent Manhattan base, every lrta call at lookahead > 1
+    leaves h(current) at the depth-1 backup, the least c + h over the
+    successors, and keeps every edge at the current state consistent
+    (h differs by at most the edge cost), so the table stays consistent.
+    The table carries over `trials` trials from the start state; returns
+    the number of calls checked."""
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(instances):
+        problem = TilePuzzle(random_solvable(3, 3, rng))
+        for d_max in depths:
+            cfg = AgentConfig(Algorithm.LRTA, d_max=d_max, seed=d_max)
+            agent = make_agent(problem, cfg, base=problem.manhattan)
+            lookup = agent.table.lookup
+            for _ in range(trials):
+                agent.current = problem.initial_state
+                while not problem.is_goal(agent.current):
+                    s = agent.current
+                    succ = problem.successors(s)
+                    depth1 = min(c + lookup(n) for _, n, c in succ)
+                    acts = step(agent, problem, cfg)
+                    h = lookup(s)
+                    assert h == depth1, f"d={d_max} backup {h} != depth-1 {depth1} at {s}"
+                    assert all(abs(h - lookup(n)) <= c for _, n, c in succ), \
+                        f"d={d_max} left an inconsistent edge at {s}"
+                    agent.current, _ = problem.apply(s, acts[0])
+                    checked += 1
+    return checked
+
+
 def check_trap_hand_traces() -> int:
     """Hand-verified chain traces covering the update rule (max over
     per-depth minima), the same-call depth-1 escape at the start state,

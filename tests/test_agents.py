@@ -61,6 +61,9 @@ def test_config_validation():
     for epsilon in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             AgentConfig(Algorithm.ILRTA, epsilon=epsilon)
+    # -0.0 is stored as 0.0, so it tags (and seeds) as 0.0 does
+    assert AgentConfig(Algorithm.ILRTA, epsilon=-0.0).tag() == \
+        AgentConfig(Algorithm.ILRTA, epsilon=0).tag() == "ilrta|d=1|g=1.0|e=0.0"
     # a knob the algorithm never reads is rejected, not folded into the seed
     for algorithm in (Algorithm.LRTA, Algorithm.RTA, Algorithm.ILRTA):
         with pytest.raises(ValueError, match="takes no gamma"):
@@ -303,6 +306,26 @@ def test_ilrta_lifts_by_the_least_parent():
     step(agent, g, cfg)
     assert agent.table.overlay == {"s": 4}
     assert len(agent.rng.pools) == 1 and len(agent.rng.pools[0]) == 2
+
+
+def test_ilrta_stops_at_the_first_layer_without_a_tie():
+    # Backup max(h(0)=5, 1 + h(1)) = 5, tied by state 1; state 2 scores
+    # 2 + 9 and breaks the only tie chain, so no member below it can tie
+    # and states 2 and 3 are never expanded.
+    expanded = []
+
+    class CountingLine(LineProblem):
+        def successors(self, s):
+            expanded.append(s)
+            return super().successors(s)
+
+    line = CountingLine(6, goals={5})
+    h = {0: 5, 1: 0, 2: 9, 3: 0, 4: 0, 5: 0}
+    cfg = AgentConfig(Algorithm.ILRTA, d_max=4, seed=0)
+    agent = make_agent(line, cfg, base=h.__getitem__)
+    assert step(agent, line, cfg) == [LineProblem.RIGHT]
+    assert agent.table.overlay == {}
+    assert set(expanded) == {0, 1}
 
 
 def test_ilrta_with_zero_epsilon_replays_lrta_on_consistent_base():

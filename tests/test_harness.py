@@ -306,13 +306,16 @@ def test_parallel_rows_match_sequential():
 
 def test_int_gamma_and_epsilon_run_as_the_equal_float():
     """Run seeds come from the agent tag, which spells gamma and epsilon as
-    stored, so an int must run exactly as the equal float."""
+    stored, so an int, or -0.0, must run exactly as the equal float."""
     grid = dict(algorithms=(Algorithm.GTRAP_BT, Algorithm.ILRTA), folds=1)
-    as_int, _ = run_experiment(_p8_config(gammas=(1,), epsilons=(1,), **grid))
-    as_float, _ = run_experiment(_p8_config(gammas=(1.0,), epsilons=(1.0,), **grid))
-    assert as_int == as_float
-    assert {type(r[c]) for r in as_int for c in ("param_gamma", "param_epsilon")} == {
-        float, type(None)}
+    for epsilon, equal_float in ((1, 1.0), (-0.0, 0.0)):
+        as_given, _ = run_experiment(_p8_config(gammas=(1,), epsilons=(epsilon,), **grid))
+        as_float, _ = run_experiment(_p8_config(gammas=(1.0,), epsilons=(equal_float,),
+                                                **grid))
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(as_given) == repr(as_float)
+        assert {type(r[c]) for r in as_given for c in ("param_gamma", "param_epsilon")} == {
+            float, type(None)}
 
 
 def test_task_spec_holds_only_what_varies_per_run():

@@ -4,6 +4,7 @@ properties.py, so the whole discipline suite runs standalone."""
 from properties import (
     check_every_call_moves,
     check_exact_depth_layers,
+    check_lrta_backup_is_depth_one,
     check_manhattan_admissible_consistent,
     check_parity_matches_reachability,
     check_trail_integrity,
@@ -43,3 +44,7 @@ def test_trap_decisions_match_hand_traces():
 
 def test_every_policy_call_moves():
     assert check_every_call_moves(seed=17) > 0
+
+
+def test_lrta_backup_is_depth_one_on_a_consistent_base():
+    assert check_lrta_backup_is_depth_one(seed=18) > 0
