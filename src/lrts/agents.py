@@ -4,9 +4,9 @@ Five agents share one interface: a policy call inspects the neighborhood of
 the current state, possibly rewrites the learned heuristic there, and
 returns the action sequence to execute, never empty. The harness applies
 the actions and calls again until the goal is reached. Every policy
-expands through core.iter_layers and scores through core's scorers; gtrap
-and lrta at lookahead 1, and ilrta at every lookahead, take their best
-score from the one depth-1 scorer, core._score_successors.
+expands through core.iter_layers and scores through core's scorers;
+gtrap-bt, gtrap and ilrta at every lookahead, and lrta at lookahead 1,
+score depth 1 with the one depth-1 scorer, core._score_successors.
 
 The trap-driven pair (gtrap-bt, gtrap) deepens its lookahead adaptively:
 depth d is "trapped" when no state within d steps looks at least as good as
@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, List, Tuple
 
 from .core import (
@@ -132,9 +132,10 @@ def _gamma_trap_step(agent: AgentState, problem: SearchProblem,
                      cfg: AgentConfig) -> List[int]:
     """One decision of the trap-driven policy (both variants).
 
-    Expands exact-depth neighborhoods incrementally, shallow first. The
-    first depth holding a state s' with gamma * dist + h(s') <= h(current)
-    ends the call: the action sequence to the best such member is returned
+    Scores depth 1 off the successors, then deeper exact-depth layers,
+    shallow first, only while every depth so far is trapped. The first
+    depth holding a state s' with gamma * dist + h(s') <= h(current) ends
+    the call: the action sequence to the best such member is returned
     (ties seeded-random) and nothing is written. Only when every depth up
     to d_max is trapped does learning happen: h(current) is raised to the
     max over depths of each depth's best score, a strict increase and the
@@ -148,18 +149,14 @@ def _gamma_trap_step(agent: AgentState, problem: SearchProblem,
     hs = lookup(s)
     backtracking = cfg.algorithm is Algorithm.GTRAP_BT
 
-    if cfg.d_max == 1:
-        # floor 0.0, not 0: the scores are floats, and comparing like with
-        # like is the interpreter's fast path
-        per_depth = [_score_successors(problem, s, lookup, cfg.gamma, 0.0)]
-    else:
-        per_depth = []
-        for layer in iter_layers(problem, s, cfg.d_max):
+    # floor 0.0, not 0: the scores are floats, and comparing like with
+    # like is the interpreter's fast path
+    per_depth = [_score_successors(problem, s, lookup, cfg.gamma, 0.0)]
+    if per_depth[0][0] > hs and cfg.d_max > 1:
+        for layer in islice(iter_layers(problem, s, cfg.d_max), 1, None):
             per_depth.append(_score_layer(layer, lookup, cfg.gamma))
             if per_depth[-1][0] <= hs:
                 break
-        if not per_depth:
-            raise DomainViolation(f"state {s!r} has no neighbors")
 
     best, ties = per_depth[-1]
     if best > hs:

@@ -132,8 +132,8 @@ class ExperimentConfig:
     """One experiment's whole configuration, validated on construction.
     algorithms x gammas x epsilons x lookaheads is the grid of agent
     configurations; each gamma and epsilon is checked by AgentConfig's
-    rules whether or not a listed algorithm takes it. Algorithm names become
-    Algorithm members, and gammas and epsilons floats (-0.0 as 0.0). By
+    rules whether or not a listed algorithm takes it, and stored in the form
+    AgentConfig gives it. Algorithm names become Algorithm members. By
     default first-trial adds rta to the algorithms, and puzzle15, whose
     folds share the file's instances, runs one fold."""
 
@@ -169,8 +169,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"algorithms: {exc} "
                              f"(valid: {', '.join(a.value for a in Algorithm)})") from None
-        settle("gammas", tuple(float(v) + 0.0 for v in self.gammas))
-        settle("epsilons", tuple(float(v) + 0.0 for v in self.epsilons))
+        settle("gammas", tuple(AgentConfig(Algorithm.GTRAP, gamma=g).gamma
+                               for g in self.gammas))
+        settle("epsilons", tuple(AgentConfig(Algorithm.ILRTA, epsilon=e).epsilon
+                                 for e in self.epsilons))
         if self.folds is None:
             settle("folds", 1 if self.domain == "puzzle15" else 10)
         for name in ("algorithms", "gammas", "epsilons", "lookaheads"):
@@ -200,10 +202,6 @@ class ExperimentConfig:
                 "algorithm rta keeps no table across trials and only runs "
                 "in the first-trial experiment"
             )
-        for g in self.gammas:
-            AgentConfig(Algorithm.GTRAP, gamma=g)
-        for e in self.epsilons:
-            AgentConfig(Algorithm.ILRTA, epsilon=e)
         for d in self.lookaheads:
             AgentConfig(Algorithm.LRTA, d_max=d)
 
@@ -236,12 +234,8 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
     apply = problem.apply
     moves = 0
     cost: float = 0
-    hit = False
     current = agent.current
-    while not is_goal(current):
-        if moves >= move_limit:
-            hit = True
-            break
+    while not is_goal(current) and moves < move_limit:
         for a in step(agent, problem, cfg):
             current, c = apply(current, a)
             agent.current = current
@@ -254,7 +248,7 @@ def run_trial(agent: AgentState, problem: SearchProblem, cfg: AgentConfig,
         solution_cost=cost,
         h_updates=table.writes - writes,
         moves=moves,
-        hit_move_limit=hit,
+        hit_move_limit=not is_goal(current),
     )
     agent.current = problem.initial_state
     agent.trail = []

@@ -1,6 +1,10 @@
-"""Tiny hand-checkable problems for unit tests."""
+"""Tiny hand-checkable problems for unit tests, and a writer of short
+15-puzzle walks for the tests that read an instance file."""
+
+import random
 
 from lrts.core import SearchProblem
+from lrts.tiles import TilePuzzle, goal_board
 
 
 class LineProblem(SearchProblem):
@@ -50,3 +54,20 @@ class GraphProblem(SearchProblem):
 
     def invert(self, a):
         return a ^ 1
+
+
+def write_puzzle15_walks(path, count, length, seed):
+    """Write a Korf-format file of distinct boards, each a seeded random walk
+    of length moves from the 15-puzzle goal; returns the boards."""
+    rng = random.Random(seed)
+    problem = TilePuzzle(goal_board(4, 4))
+    boards = []
+    while len(boards) < count:
+        tiles = problem.goal
+        for _ in range(length):
+            _, tiles, _ = rng.choice(problem.successors(tiles))
+        if tiles != problem.goal and tiles not in boards:
+            boards.append(tiles)
+    path.write_text("".join(f"{i} " + " ".join(map(str, t)) + "\n"
+                            for i, t in enumerate(boards)))
+    return boards

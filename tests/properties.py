@@ -154,15 +154,24 @@ def check_writes_change_values(seed: int = 0, instances: int = 3) -> int:
     return _check_converged_writes(seed, instances, configs, changes)
 
 
+# Trapped at its start state 6 times in the first trial of gtrap-bt at
+# gamma 0.2, seed 11, so the trail check always meets the start escape.
+TRAPPED_START8 = (1, 2, 4, 5, 3, 0, 8, 6, 7)
+
+
 def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
     """Backtracking must retreat to exactly the state the previous forward
     move departed from, tracked here by an independent stack. Trapped at
     the start state, the call must instead take one step that passes the
-    trap test against the raised h(start), and push it as a forward move."""
+    trap test against the raised h(start), and push it as a forward move.
+    Runs the first trial on `instances` random boards and TRAPPED_START8;
+    returns the number of retreats and start escapes checked."""
     rng = random.Random(seed)
-    checked = 0
-    for _ in range(instances):
-        problem = TilePuzzle(random_solvable(3, 3, rng))
+    boards = [random_solvable(3, 3, rng) for _ in range(instances)]
+    boards.append(TileBoard(3, 3, TRAPPED_START8))
+    checked = escapes = 0
+    for board in boards:
+        problem = TilePuzzle(board)
         cfg = AgentConfig(Algorithm.GTRAP_BT, gamma=0.2, seed=11)
         agent = make_agent(problem, cfg, base=problem.manhattan)
         history = []
@@ -190,6 +199,7 @@ def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
                 assert cfg.gamma * cost + lookup(current) <= lookup(origin), \
                     "start escape fails the trap test against the raised h"
                 history.append(origin)
+                escapes += 1
             else:
                 assert acts, "trapped away from the start must retreat"
                 assert history, "retreat with no forward move on record"
@@ -199,7 +209,8 @@ def check_trail_integrity(seed: int = 0, instances: int = 3) -> int:
             raise AssertionError("first trial did not reach the goal")
         assert backtracks, "no backtracks exercised; instance too easy"
         checked += backtracks
-    return checked
+    assert escapes, "no start escape exercised"
+    return checked + escapes
 
 
 def check_every_call_moves(seed: int = 0, instances: int = 2,

@@ -378,10 +378,11 @@ def test_policies_raise_on_isolated_state():
     h = {"lonely": 1, "a": 1, "b": 0}
     for algorithm in Algorithm:
         gamma = 0.5 if PARAMETER.get(algorithm) == "gamma" else 1.0
-        cfg = AgentConfig(algorithm, d_max=2, gamma=gamma, seed=0)
-        agent = make_agent(g, cfg, base=h.__getitem__)
-        with pytest.raises(DomainViolation):
-            step(agent, g, cfg)
+        for d_max in (1, 2):
+            cfg = AgentConfig(algorithm, d_max=d_max, gamma=gamma, seed=0)
+            agent = make_agent(g, cfg, base=h.__getitem__)
+            with pytest.raises(DomainViolation):
+                step(agent, g, cfg)
 
 
 def test_same_seed_same_run():

@@ -23,6 +23,8 @@ from lrts.harness import DEFAULT_LOOKAHEADS, RUN_COLUMNS, SUMMARY_COLUMNS, Exper
 from lrts.plots import bar_chart_svg, emit_plots
 from lrts.tiles import random_solvable
 
+from domains import write_puzzle15_walks
+
 
 @pytest.fixture(autouse=True)
 def _no_out_dir_env(monkeypatch):
@@ -281,6 +283,25 @@ def test_runs_csv_bytes_are_pinned(tmp_path, experiment, lookahead):
                  "--out-dir", str(tmp_path)]) == 0
     data = (tmp_path / f"runs_{experiment}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == RUNS_CSV_SHA256[(experiment, lookahead)]
+
+
+# sha256 of runs_memory.csv for gtrap-bt at gamma 0.5 and lookaheads 1 and 3
+# on six seeded 22-move walks from the 15-puzzle goal: the argv the
+# p15-memory-j2 benchmark workload runs, on 16-cell boards where the
+# lookahead-3 calls walk the deeper layers when depth 1 is trapped. Walk
+# seed 1 draws the boards with the most such walks (744) of seeds 1-8.
+P15_RUNS_CSV_SHA256 = "174bc23b0f3d0a4316fc3d3eb826044a42efd60aa0789c78a77f0c3de0e583fd"
+
+
+def test_p15_runs_csv_bytes_are_pinned(tmp_path):
+    korf = tmp_path / "walks.txt"
+    write_puzzle15_walks(korf, 6, 22, seed=1)
+    assert main(["--experiment", "memory", "--domain", "puzzle15",
+                 "--korf-file", str(korf), "--instances", "6",
+                 "--algorithms", "gtrap-bt", "--gamma", "0.5", "--lookahead", "1,3",
+                 "--seed", "5", "--out-dir", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "runs_memory.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == P15_RUNS_CSV_SHA256
 
 
 # sha256 of manifest.json for _SMOKE with --out-dir out, taken when the

@@ -23,7 +23,7 @@ from lrts.harness import (
 from lrts.oracle import ida_star_optimal
 from lrts.tiles import TilePuzzle, goal_board, random_solvable
 
-from domains import LineProblem
+from domains import LineProblem, write_puzzle15_walks
 from oracles import bfs_goal_distance
 
 
@@ -51,6 +51,11 @@ def test_run_trial_move_limit_cuts_the_walk():
     rec = run_trial(agent, line, cfg, move_limit=2)
     assert rec.hit_move_limit and rec.moves == 2 and rec.solution_cost == 2
     assert agent.current == line.initial_state
+    # the goal reached on the last allowed move is no limit hit
+    line = LineProblem(4)
+    agent, cfg = _line_agent(line, base={0: 3, 1: 2, 2: 1, 3: 0}.__getitem__)
+    rec = run_trial(agent, line, cfg, move_limit=3)
+    assert not rec.hit_move_limit and rec.moves == 3 and rec.solution_cost == 3
 
 
 def test_run_trial_starting_at_goal_is_a_no_op():
@@ -385,25 +390,9 @@ def test_move_limited_run_reports_no_ratio():
     assert row["optimal_cost"] is not None  # oracle still knows the truth
 
 
-def _write_walks(path, count, length, seed):
-    """Distinct boards a short random walk away from the 15-puzzle goal."""
-    rng = random.Random(seed)
-    problem = TilePuzzle(goal_board(4, 4))
-    boards = []
-    while len(boards) < count:
-        tiles = problem.goal
-        for _ in range(length):
-            _, tiles, _ = rng.choice(problem.successors(tiles))
-        if tiles != problem.goal and tiles not in boards:
-            boards.append(tiles)
-    path.write_text("".join(f"{i} " + " ".join(map(str, t)) + "\n"
-                            for i, t in enumerate(boards)))
-    return boards
-
-
 def test_puzzle15_ground_truth_is_solved_once_per_board(tmp_path, monkeypatch):
     korf = tmp_path / "walks.txt"
-    boards = _write_walks(korf, 3, 10, seed=8)
+    boards = write_puzzle15_walks(korf, 3, 10, seed=8)
     solved = []
 
     def counting_ida(problem, tiles, budget):
